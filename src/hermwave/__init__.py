@@ -14,6 +14,7 @@ from .annihilator import (
     check_eigvec_condition,
     check_two_level_identity,
     dilation_matrix,
+    inverse_dilation_matrix,
     make_annihilator,
     make_taylor,
     taylor_distance,
@@ -33,7 +34,13 @@ from .filterbank import (
     factorization_pair,
     synthesize,
 )
-from .laurent import DivisionError, Mask, MatLaurent, max_coeff_dev, unit_circle_points
+from .laurent import (
+    DivisionError,
+    MatLaurent,
+    even_part_dev,
+    max_coeff_dev,
+    unit_circle_points,
+)
 from .signal import (
     DetailSignal,
     HermiteSignal,

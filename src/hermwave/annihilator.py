@@ -50,6 +50,8 @@ class SpaceSpec:
     def __post_init__(self):
         if self.p < 0:
             raise ValueError("p must be nonnegative")
+        if self.lam is not None and not math.isfinite(self.lam):
+            raise ValueError(f"frequency lambda must be finite, got {self.lam}")
         if self.lam is not None and self.lam < 0:
             raise ValueError("frequency must be nonnegative (or None for pure polynomials)")
 
@@ -74,6 +76,11 @@ class SpaceSpec:
 def dilation_matrix(d: int) -> np.ndarray:
     """The diagonal dilation weight matrix ``D = diag(1, 1/2, ..., 2^-d)``."""
     return np.diag([2.0**-j for j in range(d + 1)])
+
+
+def inverse_dilation_matrix(d: int) -> np.ndarray:
+    """``D^-1 = diag(1, 2, ..., 2^d)``; its entries are exact powers of two."""
+    return np.diag([2.0**j for j in range(d + 1)])
 
 
 @dataclass(frozen=True)
@@ -237,7 +244,7 @@ def check_two_level_identity(spec: SpaceSpec, level: int) -> float:
     ``H[n](z^2) D^-1 = -D^-1 H[n+1](-z) H[n+1](z)``.
     """
     d = spec.d
-    dinv = MatLaurent.from_taps(d + 1, {0: np.linalg.inv(dilation_matrix(d))})
+    dinv = MatLaurent.from_taps(d + 1, {0: inverse_dilation_matrix(d)})
     h_n = make_annihilator(spec, level).symbol
     h_n1 = make_annihilator(spec, level + 1).symbol
     lhs = h_n.upsample().mul(dinv)

@@ -53,7 +53,7 @@ def cmd_filters(args) -> int:
     print(f"interpolatory residual: {res:.3e}")
     _emit(
         {
-            "mask": mask.mask.to_json_dict(),
+            "mask": mask.symbol.to_json_dict(),
             "interpolatory_residual": res,
             **bank.to_json_dict(),
         },
@@ -172,15 +172,9 @@ def cmd_synthesize(args) -> int:
         payload = json.load(fh)
     spec, _entry, coarse, details = filterbank.transform_from_json_dict(payload)
     rec = filterbank.synthesize(spec, coarse, details)
+    write_signal(rec, args.output or sys.stdout)
     if args.output:
-        write_signal(rec, args.output)
         log.info("wrote %s", args.output)
-    else:
-        import tempfile
-
-        with tempfile.NamedTemporaryFile("r", suffix=".csv") as tmp:
-            write_signal(rec, tmp.name)
-            print(tmp.read(), end="")
     return 0
 
 

@@ -19,7 +19,8 @@ Two factorizations through the cancellation operator are provided:
     (B~[n])#(z)       = S[n](z) H[n+1](z)        (wavelet quotient)
 
 both computed by coefficient-matching division, with the closed inverse-
-conjugation formula for ``S`` available as a numeric cross-check.
+conjugation formula for ``S`` available as a coefficient cross-check.
+All identities are checked on exact coefficients, never at sample points.
 """
 
 from __future__ import annotations
@@ -28,15 +29,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .annihilator import Annihilator, SpaceSpec, dilation_matrix
-from .laurent import MatLaurent, max_coeff_dev, unit_circle_points
+from .annihilator import Annihilator, SpaceSpec, inverse_dilation_matrix
+from .laurent import MatLaurent, even_part_dev, max_coeff_dev
 from .signal import DetailSignal, HermiteSignal, sample_function
-from .subdivision import (
-    LevelMask,
-    interpolatory_residual,
-    make_mask,
-    subdivide_periodic,
-)
+from .subdivision import LevelMask, _predict, interpolatory_residual, make_mask
 
 #: Residual bound for accepting a bank as biorthogonal.
 BIORTHO_TOL = 1e-12
@@ -92,7 +88,7 @@ def build(mask: LevelMask) -> FilterBank:
     if res > 1e-10:
         raise ValueError(f"mask is not interpolatory: residual {res:.3e}")
     dim = mask.dim
-    dinv = MatLaurent.from_taps(dim, {0: np.diag([2.0**j for j in range(dim)])})
+    dinv = MatLaurent.from_taps(dim, {0: inverse_dilation_matrix(dim - 1)})
     a = mask.symbol
     b = MatLaurent.identity(dim, power=1)
     b_tilde = MatLaurent.identity(dim, power=1).mul(dinv).mul(
@@ -110,23 +106,20 @@ def build_at(spec: SpaceSpec, level: int) -> FilterBank:
     return build(make_mask(spec, level))
 
 
-def check_biorthogonality(fb: FilterBank, points: int = 64) -> float:
-    """Max residual of the four identities at unit-circle samples."""
-    dim = fb.dim
-    two_i = 2.0 * np.eye(dim)
+def check_biorthogonality(fb: FilterBank) -> float:
+    """Max coefficient residual of the four identities (exact for every z).
+
+    ``P#(z) Q(z) + P#(-z) Q(-z)`` is twice the even-power part of the
+    product ``P# Q``, so each identity is one product and one parity check.
+    """
+    eye, zero = np.eye(fb.dim), np.zeros((fb.dim, fb.dim))
     pairs = [
-        (fb.A_tilde, fb.A, two_i),
-        (fb.A_tilde, fb.B, np.zeros((dim, dim))),
-        (fb.B_tilde, fb.A, np.zeros((dim, dim))),
-        (fb.B_tilde, fb.B, two_i),
+        (fb.A_tilde, fb.A, eye),
+        (fb.A_tilde, fb.B, zero),
+        (fb.B_tilde, fb.A, zero),
+        (fb.B_tilde, fb.B, eye),
     ]
-    res = 0.0
-    for z in unit_circle_points(points):
-        for p, q, target in pairs:
-            ps = p.involution()
-            val = ps.eval(z) @ q.eval(z) + ps.negate_arg().eval(z) @ q.negate_arg().eval(z)
-            res = max(res, float(np.max(np.abs(val - target))))
-    return res
+    return max(even_part_dev(p.involution().mul(q), target) for p, q, target in pairs)
 
 
 def check_vanishing_moments(fb: FilterBank, f, halfwidth: float = 2.0) -> float:
@@ -177,9 +170,10 @@ def compute_S(
 ) -> MatLaurent:
     """Quotient of ``(B~[n])#(z) = S[n](z) H[n+1](z)``.
 
-    Obtained by coefficient matching (the closed inverse-conjugation
-    formula ``S(z) = -z^-1 H[n+1](-z)^-1 R[n](-z) D^-1 H[n+1](-z)`` is
-    applied pointwise as a cross-check when ``cross_check_R`` is given).
+    Obtained by coefficient matching.  When ``cross_check_R`` is given,
+    the closed inverse-conjugation formula ``S(z) = -z^-1 H[n+1](-z)^-1
+    R[n](-z) D^-1 H[n+1](-z)`` is checked in its polynomial form
+    ``-z H[n+1](-z) S(z) = R[n](-z) D^-1 H[n+1](-z)``.
     """
     if ann_n1.level != fb.level + 1:
         raise ValueError(
@@ -187,13 +181,10 @@ def compute_S(
         )
     s = fb.B_tilde.involution().divide_right(ann_n1.symbol, tol=tol)
     if cross_check_R is not None:
-        dinv = np.diag([2.0**j for j in range(fb.dim)])
-        h = ann_n1.symbol
-        res = 0.0
-        for z in unit_circle_points(16):
-            h_neg = h.eval(-z)
-            rhs = -(1.0 / z) * np.linalg.inv(h_neg) @ cross_check_R.eval(-z) @ dinv @ h_neg
-            res = max(res, float(np.max(np.abs(s.eval(z) - rhs))))
+        dinv = MatLaurent.from_taps(fb.dim, {0: inverse_dilation_matrix(fb.dim - 1)})
+        h_neg = ann_n1.symbol.negate_arg()
+        lhs = MatLaurent.identity(fb.dim, power=1).mul(h_neg).mul(s).scale(-1.0)
+        res = max_coeff_dev(lhs, cross_check_R.negate_arg().mul(dinv).mul(h_neg))
         if res > 1e-8:
             raise ValueError(
                 f"wavelet quotient disagrees with the closed formula: {res:.3e}"
@@ -219,11 +210,8 @@ def factorization_pair(
 
 def _analysis_step(mask: LevelMask, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One periodic analysis step; ``c`` has even length at mask level + 1."""
-    dinv = np.diag([2.0**j for j in range(mask.dim)])
-    coarse = c[0::2] @ dinv.T
-    pred = coarse @ mask.tap(1).T + np.roll(coarse, -1, axis=0) @ mask.tap(-1).T
-    details = c[1::2] - pred
-    return coarse, details
+    coarse = c[0::2] @ inverse_dilation_matrix(mask.dim - 1).T
+    return coarse, c[1::2] - _predict(mask, coarse)
 
 
 def analyze(
@@ -269,9 +257,9 @@ def synthesize(
                 f"shape mismatch: {len(det)} details for {len(c)} coarse nodes"
             )
         mask = make_mask(spec, level)
-        fine = subdivide_periodic(mask, HermiteSignal(level, c, 0))
-        out = np.array(fine.data)
-        out[1::2] += det.data
+        out = np.empty((2 * len(c), mask.dim))
+        out[0::2] = c @ mask.tap(0).T
+        out[1::2] = _predict(mask, c) + det.data
         c = out
         level += 1
     return HermiteSignal(level, c, coarse.start)

@@ -283,47 +283,31 @@ class MatLaurent:
         return MatLaurent.from_json_dict(json.loads(s))
 
 
-@dataclass(frozen=True)
-class Mask:
-    """A finitely supported matrix coefficient sequence.
-
-    Bijective with :class:`MatLaurent` via ``index k <-> power z^k``;
-    kept as a named type because masks carry subdivision semantics
-    (stencil application) while symbols carry algebra.
-    """
-
-    dim: int
-    symbol: MatLaurent
-
-    @staticmethod
-    def from_taps(dim: int, taps: dict[int, np.ndarray]) -> "Mask":
-        return Mask(dim, MatLaurent.from_taps(dim, taps))
-
-    def tap(self, k: int) -> np.ndarray:
-        return self.symbol.tap(k)
-
-    def taps(self) -> dict[int, np.ndarray]:
-        return self.symbol.taps()
-
-    @property
-    def support(self) -> range:
-        return range(self.symbol.lo, self.symbol.hi + 1)
-
-    def to_json_dict(self) -> dict:
-        return self.symbol.to_json_dict()
-
-    @staticmethod
-    def from_json_dict(d: dict) -> "Mask":
-        sym = MatLaurent.from_json_dict(d)
-        return Mask(sym.dim, sym)
-
-
 def max_coeff_dev(P: MatLaurent, Q: MatLaurent) -> float:
     """Max-abs entrywise deviation between two symbols over the union window."""
     lo = min(P.lo, Q.lo)
     hi = max(P.hi, Q.hi)
     return max(
         float(np.max(np.abs(P.tap(k) - Q.tap(k)))) for k in range(lo, hi + 1)
+    )
+
+
+def even_part_dev(P: MatLaurent, target: np.ndarray) -> float:
+    """Max coefficient residual of the identity ``P(z) + P(-z) = 2 target``.
+
+    The left side is twice the even-power part of ``P``, so the identity
+    holds for every ``z`` exactly when ``P_0 = target`` and every other
+    even tap vanishes.  The residual is reported on the scale of the
+    identity (twice the tap deviation): the taps are DFT coefficients of
+    equispaced unit-circle samples of the left side, so it never exceeds
+    the max residual over ``unit_circle_points(N)`` for ``N`` wider than
+    the support.
+    """
+    zero = np.zeros((P.dim, P.dim))
+    return 2.0 * max(
+        float(np.max(np.abs(P.tap(k) - (target if k == 0 else zero))))
+        for k in range(min(P.lo, 0), max(P.hi, 0) + 1)
+        if k % 2 == 0
     )
 
 

@@ -15,6 +15,7 @@ before a depth-``L`` transform.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -165,14 +166,15 @@ class SignalFormatError(ValueError):
     """Raised for malformed signal files; the message names the line."""
 
 
-def write_signal(signal: HermiteSignal, path) -> None:
+def write_signal(signal: HermiteSignal, dest) -> None:
     """Write CSV: metadata line, header ``k,f0,...,fd``, one row per node.
 
-    Numbers use shortest round-trip decimal representation (17
-    significant digits), so write/read is lossless.
+    ``dest`` is a path or an open text stream (left open).  Numbers use
+    shortest round-trip decimal representation (17 significant digits),
+    so write/read is lossless.
     """
     cols = ",".join(f"f{j}" for j in range(signal.dim))
-    with open(path, "w") as fh:
+    with contextlib.nullcontext(dest) if hasattr(dest, "write") else open(dest, "w") as fh:
         fh.write(f"# level={signal.level} dim={signal.dim}\n")
         fh.write(f"k,{cols}\n")
         for k, row in zip(signal.nodes(), signal.data):

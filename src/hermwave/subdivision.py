@@ -28,8 +28,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .annihilator import SpaceSpec, dilation_matrix
-from .laurent import Mask, MatLaurent
+from .annihilator import SpaceSpec, dilation_matrix, inverse_dilation_matrix
+from .laurent import MatLaurent, even_part_dev
 from .signal import HermiteSignal, exponential, monomial, sample_function, v_vector
 
 #: The constant backward tap shared by every level and frequency.
@@ -42,21 +42,6 @@ COND_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
-class DilationWeights:
-    """The diagonal dilation weight matrix ``D = diag(1, 1/2, ..., 2^-d)``."""
-
-    d: int
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return dilation_matrix(self.d)
-
-    @property
-    def inverse(self) -> np.ndarray:
-        return np.diag([2.0**j for j in range(self.d + 1)])
-
-
-@dataclass(frozen=True)
 class LevelMask:
     """The level-``n`` subdivision mask, support ``{-1, 0, 1}``.
 
@@ -66,18 +51,14 @@ class LevelMask:
 
     level: int
     spec: SpaceSpec
-    mask: Mask
+    symbol: MatLaurent
 
     def tap(self, k: int) -> np.ndarray:
-        return self.mask.tap(k)
-
-    @property
-    def symbol(self) -> MatLaurent:
-        return self.mask.symbol
+        return self.symbol.tap(k)
 
     @property
     def dim(self) -> int:
-        return self.mask.dim
+        return self.symbol.dim
 
 
 @dataclass(frozen=True)
@@ -157,8 +138,7 @@ def derive_mask_from_interpolation(spec: SpaceSpec, level: int) -> LevelMask:
         )
     a1, am1 = _solve_mask_system(spec.frequency_at(level))
     d = dilation_matrix(2)
-    mask = Mask.from_taps(3, {-1: am1, 0: d, 1: a1})
-    return LevelMask(level, spec, mask)
+    return LevelMask(level, spec, MatLaurent.from_taps(3, {-1: am1, 0: d, 1: a1}))
 
 
 @lru_cache(maxsize=256)
@@ -167,10 +147,13 @@ def _solve_mask_system(mu: float) -> tuple[np.ndarray, np.ndarray]:
     d = dilation_matrix(2)
     m = np.zeros((6, 6))
     rhs = np.zeros((6, 3))
-    for r, f in enumerate(basis):
-        m[r, :3] = _derivs(f, 0.0)
-        m[r, 3:] = _derivs(f, 1.0)
-        rhs[r] = d @ _derivs(f, 0.5)
+    try:
+        for r, f in enumerate(basis):
+            m[r, :3] = _derivs(f, 0.0)
+            m[r, 3:] = _derivs(f, 1.0)
+            rhs[r] = d @ _derivs(f, 0.5)
+    except OverflowError as exc:
+        raise ValueError(f"local basis overflows at scaled frequency {mu}") from exc
     if np.linalg.cond(m) > COND_LIMIT:
         raise ValueError(
             f"interpolation system ill conditioned at scaled frequency {mu}"
@@ -197,16 +180,9 @@ def make_mask(spec: SpaceSpec, level: int) -> LevelMask:
     return lm
 
 
-def interpolatory_residual(symbol: MatLaurent, points: int = 32) -> float:
-    """Max residual of ``A(z) + A(-z) - 2D`` on unit-circle samples."""
-    from .laurent import unit_circle_points
-
-    two_d = 2.0 * dilation_matrix(symbol.dim - 1)
-    neg = symbol.negate_arg()
-    return max(
-        float(np.max(np.abs(symbol.eval(z) + neg.eval(z) - two_d)))
-        for z in unit_circle_points(points)
-    )
+def interpolatory_residual(symbol: MatLaurent) -> float:
+    """Max coefficient residual of ``A(z) + A(-z) = 2D`` (exact for every z)."""
+    return even_part_dev(symbol, dilation_matrix(symbol.dim - 1))
 
 
 # ----------------------------------------------------------------------
@@ -247,8 +223,17 @@ def subdivide_periodic(mask: LevelMask, signal: HermiteSignal) -> HermiteSignal:
     c = signal.data
     out = np.zeros((2 * len(c), mask.dim))
     out[0::2] = c @ mask.tap(0).T
-    out[1::2] = c @ mask.tap(1).T + np.roll(c, -1, axis=0) @ mask.tap(-1).T
+    out[1::2] = _predict(mask, c)
     return HermiteSignal(signal.level + 1, out, 2 * signal.start)
+
+
+def _predict(mask: LevelMask, coarse: np.ndarray) -> np.ndarray:
+    """Odd-node prediction ``A_1 c_k + A_-1 c_{k+1}`` with periodic wrap.
+
+    The one lifting step shared by periodic subdivision, analysis
+    (``d = odd - prediction``) and synthesis (``odd = d + prediction``).
+    """
+    return coarse @ mask.tap(1).T + np.roll(coarse, -1, axis=0) @ mask.tap(-1).T
 
 
 def check_spectral_condition(
@@ -407,7 +392,7 @@ def check_refinement_equation(spec: SpaceSpec, level: int, depth: int) -> float:
     coarse = render_basic_limit(spec, depth, base_level=level - 1)
     fine = render_basic_limit(spec, depth, base_level=level)
     mask = make_mask(spec, level - 1)
-    dinv = np.diag([1.0, 2.0, 4.0])
+    dinv = inverse_dilation_matrix(2)
     half = 2**depth
     fine_at = {int(round(g * half)): fine.values[t] for t, g in enumerate(fine.grid)}
 

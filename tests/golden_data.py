@@ -7,6 +7,8 @@ The high-pass reference is recorded in its conjugate display ``B~#(z)``
 
 import numpy as np
 
+from hermwave.laurent import unit_circle_points
+
 D = np.diag([1.0, 0.5, 0.25])
 
 #: Stationary mask taps of A(z).
@@ -48,4 +50,39 @@ def max_tap_dev(symbol, taps: dict) -> float:
     return max(
         float(np.max(np.abs(symbol.tap(k) - taps.get(k, np.zeros((3, 3))))))
         for k in keys
+    )
+
+
+def sampled_identity_residual(factors, target, points: int = 64) -> float:
+    """Sampled form of ``F(z) + F(-z) = 2 target``, ``F`` the product of ``factors``.
+
+    The reference the exact coefficient checks are measured against:
+    every factor is evaluated with ``MatLaurent.eval`` at
+    ``unit_circle_points(points)`` and at their negatives.
+    """
+
+    def value(z):
+        out = np.eye(len(target))
+        for f in factors:
+            out = out @ f.eval(z)
+        return out
+
+    return max(
+        float(np.max(np.abs(value(z) + value(-z) - 2.0 * target)))
+        for z in unit_circle_points(points)
+    )
+
+
+def sampled_biorthogonality(fb, points: int = 64) -> float:
+    """The four identities ``P#(z)Q(z) + P#(-z)Q(-z) = 2I or 0`` at samples."""
+    eye, zero = np.eye(fb.dim), np.zeros((fb.dim, fb.dim))
+    pairs = [
+        (fb.A_tilde, fb.A, eye),
+        (fb.A_tilde, fb.B, zero),
+        (fb.B_tilde, fb.A, zero),
+        (fb.B_tilde, fb.B, eye),
+    ]
+    return max(
+        sampled_identity_residual([p.involution(), q], target, points)
+        for p, q, target in pairs
     )

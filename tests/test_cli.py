@@ -28,6 +28,24 @@ def test_filters_emits_mask(tmp_path, capsys):
     assert "interpolatory residual" in capsys.readouterr().out
 
 
+def test_filters_high_frequency_level_zero(tmp_path):
+    out = tmp_path / "f.json"
+    assert main(["filters", "--lambda", "8", "--level", "0", "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["interpolatory_residual"] == 0.0
+
+
+@pytest.mark.parametrize(
+    "lam, reason",
+    [("1000", "scaled frequency 1000.0"), ("nan", "must be finite"), ("inf", "must be finite")],
+)
+def test_bad_frequency_is_a_clean_error(lam, reason, capsys):
+    assert main(["filters", "--lambda", lam]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert reason in err
+
+
 def test_filters_taylor(tmp_path):
     out = tmp_path / "t.json"
     assert main(["filters", "--taylor", "--d", "2", "--output", str(out)]) == 0
@@ -74,6 +92,17 @@ def test_analyze_synthesize_roundtrip(tmp_path, exp_signal, capsys):
     assert main(["synthesize", "--input", str(coeffs), "--output", str(rec)]) == 0
     a, b = read_signal(exp_signal), read_signal(rec)
     assert np.max(np.abs(a.data - b.data)) < 1e-10
+
+
+def test_synthesize_stdout_matches_file(tmp_path, exp_signal, capsys):
+    coeffs, rec = tmp_path / "t.json", tmp_path / "rec.csv"
+    main(["analyze", "--lambda", "2", "--depth", "3", "--input", str(exp_signal), "--output", str(coeffs)])
+    assert main(["synthesize", "--input", str(coeffs), "--output", str(rec)]) == 0
+    capsys.readouterr()
+    assert main(["synthesize", "--input", str(coeffs)]) == 0
+    config, body = capsys.readouterr().out.split("\n", 1)
+    assert config.startswith("config: ")
+    assert body == rec.read_text()
 
 
 def test_analyze_wrong_length(tmp_path):

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hermwave.annihilator import SpaceSpec, make_annihilator, make_taylor
 from hermwave.filterbank import (
+    BIORTHO_TOL,
     FilterBank,
     analyze,
     build,
@@ -19,7 +22,7 @@ from hermwave.filterbank import (
     transform_from_json_dict,
     transform_to_json_dict,
 )
-from hermwave.laurent import DivisionError, Mask, MatLaurent, max_coeff_dev
+from hermwave.laurent import DivisionError, MatLaurent, max_coeff_dev
 from hermwave.signal import (
     DetailSignal,
     HermiteSignal,
@@ -30,7 +33,13 @@ from hermwave.signal import (
 )
 from hermwave.subdivision import LevelMask, make_mask
 
-from golden_data import B_TILDE_SHARP_TAPS, R_TAPS, S_TAPS, max_tap_dev
+from golden_data import (
+    B_TILDE_SHARP_TAPS,
+    R_TAPS,
+    S_TAPS,
+    max_tap_dev,
+    sampled_biorthogonality,
+)
 
 
 # ----------------------------------------------------------------------
@@ -58,7 +67,7 @@ def test_stationary_high_pass_matches_reference():
 
 
 def test_non_interpolatory_mask_rejected():
-    bad = Mask.from_taps(3, {0: np.eye(3)})
+    bad = MatLaurent.from_taps(3, {0: np.eye(3)})
     lm = LevelMask(0, SpaceSpec(0, 2.0), bad)
     with pytest.raises(ValueError, match="interpolatory"):
         build(lm)
@@ -74,14 +83,28 @@ def test_biorthogonality(lam, level):
     assert check_biorthogonality(build_at(SpaceSpec(0, lam), level)) < 1e-12
 
 
-def test_biorthogonality_detector_sensitivity():
+@settings(max_examples=30, deadline=None)
+@given(st.floats(-9.0, -2.0))
+@example(-3.0)
+def test_biorthogonality_detector_sensitivity(log_delta):
+    # the exact check and the sampled reference both see a tap error delta
+    delta = 10.0**log_delta
     fb = build_at(SpaceSpec(0, 2.0), 0)
     taps = {k: np.array(m) for k, m in fb.A.taps().items()}
-    taps[1][0, 0] += 1e-3
+    taps[1][0, 0] += delta
     bad = FilterBank(
         fb.level, fb.spec, MatLaurent.from_taps(3, taps), fb.B, fb.A_tilde, fb.B_tilde
     )
-    assert check_biorthogonality(bad) >= 1e-4
+    assert check_biorthogonality(bad) >= delta
+    assert sampled_biorthogonality(bad) >= delta
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, 3, 4])
+def test_build_high_frequency(level):
+    # max |A_1| = 241 at mu = 8: a check that evaluates the symbols at
+    # sample points picks up ~1e-11 roundoff here, the exact one none
+    fb = build_at(SpaceSpec(0, 8.0), level)
+    assert check_biorthogonality(fb) <= BIORTHO_TOL
 
 
 # ----------------------------------------------------------------------
@@ -132,11 +155,24 @@ def test_factorization_residuals(lam, level):
 def test_factorization_failure_on_perturbed_mask():
     spec = SpaceSpec(0, 2.0)
     good = make_mask(spec, 0)
-    taps = {k: np.array(m) for k, m in good.mask.taps().items()}
+    taps = {k: np.array(m) for k, m in good.symbol.taps().items()}
     taps[1][0, 0] += 1e-3
-    bad = LevelMask(0, spec, Mask.from_taps(3, taps))
+    bad = LevelMask(0, spec, MatLaurent.from_taps(3, taps))
     with pytest.raises(DivisionError):
         compute_R(bad, make_annihilator(spec, 0), make_annihilator(spec, 1))
+
+
+def test_wavelet_quotient_closed_form_cross_check():
+    spec = SpaceSpec(0, 2.0)
+    mask = make_mask(spec, 1)
+    ann1, ann2 = make_annihilator(spec, 1), make_annihilator(spec, 2)
+    fb = build(mask)
+    r = compute_R(mask, ann1, ann2)
+    assert compute_S(fb, ann2, cross_check_R=r) == compute_S(fb, ann2)
+    taps = {k: np.array(m) for k, m in r.taps().items()}
+    taps[0][1, 1] += 1e-6
+    with pytest.raises(ValueError, match="closed formula"):
+        compute_S(fb, ann2, cross_check_R=MatLaurent.from_taps(3, taps))
 
 
 def test_scalar_haar_reduction():

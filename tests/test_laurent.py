@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 
 from hermwave.laurent import (
     DivisionError,
-    Mask,
     MatLaurent,
+    even_part_dev,
     max_coeff_dev,
     unit_circle_points,
 )
 
-from golden_data import A_TAPS, R_TAPS, T_TAPS, max_tap_dev
+from golden_data import A_TAPS, R_TAPS, T_TAPS, max_tap_dev, sampled_identity_residual
 
 
 def rand_symbol(rng, dim=3, max_taps=4) -> MatLaurent:
@@ -166,6 +166,26 @@ def test_eval_of_stationary_symbols():
     assert np.max(np.abs(t.eval(1.0) - expect_t)) < 1e-14
 
 
+@settings(max_examples=50, deadline=None)
+@given(symbols, st.sampled_from([0.0, 1.0]))
+def test_even_part_dev_bounded_by_samples(p, scale):
+    # even-part taps are DFT coefficients of the 64 samples, so the exact
+    # residual never reads above the sampled one beyond rounding
+    target = scale * np.eye(3)
+    exact = even_part_dev(p, target)
+    sampled = sampled_identity_residual([p], target, points=64)
+    assert exact <= sampled + 1e-13
+
+
+def test_even_part_dev_reads_even_taps_only():
+    zero = np.zeros((3, 3))
+    assert even_part_dev(MatLaurent.identity(3, 1), zero) == 0.0
+    assert even_part_dev(MatLaurent.identity(3, -2), zero) == 2.0
+    a = MatLaurent.from_taps(3, A_TAPS)
+    assert even_part_dev(a, A_TAPS[0]) == 0.0
+    assert even_part_dev(a, np.eye(3)) == 2 * 0.75
+
+
 def test_eval_at_zero_rejected():
     with pytest.raises(ValueError):
         MatLaurent.identity(2).eval(0)
@@ -233,7 +253,7 @@ def test_json_schema_shape():
 
 
 def test_mask_roundtrip():
-    m = Mask.from_taps(3, A_TAPS)
-    m2 = Mask.from_json_dict(m.to_json_dict())
-    assert m2.symbol == m.symbol
-    assert list(m.support) == [-1, 0, 1]
+    m = MatLaurent.from_taps(3, A_TAPS)
+    m2 = MatLaurent.from_json_dict(m.to_json_dict())
+    assert m2 == m
+    assert list(range(m.lo, m.hi + 1)) == [-1, 0, 1]
