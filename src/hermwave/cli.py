@@ -27,8 +27,9 @@ def _spec_from(args) -> SpaceSpec:
     return SpaceSpec(args.p, args.lam)
 
 
-def _emit(payload: dict, output: str | None) -> None:
-    text = json.dumps(payload, indent=2)
+def _emit(payload: dict, output: str | None, compact: bool = False) -> None:
+    # compact output runs json's C encoder; its indenting encoder is pure Python
+    text = json.dumps(payload, separators=(",", ":")) if compact else json.dumps(payload, indent=2)
     if output:
         with open(output, "w") as fh:
             fh.write(text + "\n")
@@ -67,7 +68,7 @@ def _verify_report(spec: SpaceSpec, levels: range, seed: int, perturb: float, to
     checks: list[tuple[str, float, float]] = []  # (name, residual, tolerance)
 
     def add(name, residual, tol):
-        checks.append((name, float(residual), tol_override or tol))
+        checks.append((name, float(residual), tol if tol_override is None else tol_override))
 
     for n in levels:
         mask = subdivision.make_mask(spec, n)
@@ -161,7 +162,7 @@ def cmd_analyze(args) -> int:
     sig = read_signal(args.input)
     coarse, details = filterbank.analyze(spec, sig, args.depth)
     payload = filterbank.transform_to_json_dict(spec, sig.level, coarse, details)
-    _emit(payload, args.output)
+    _emit(payload, args.output, compact=True)
     max_det = max((float(np.max(np.abs(d.data))) for d in details if len(d)), default=0.0)
     print(f"max detail magnitude: {max_det:.3e}")
     return 0
@@ -181,20 +182,18 @@ def cmd_synthesize(args) -> int:
 def cmd_render(args) -> int:
     spec = _spec_from(args)
     table = subdivision.render_basic_limit(spec, args.depth, base_level=args.level)
-    lines = ["x,phi0,phi1,phi2"]
-    for t, x in enumerate(table.grid):
-        vals = ",".join(repr(float(table.values[t, 0, j])) for j in range(3))
-        lines.append(f"{float(x)!r},{vals}")
+    rows = np.column_stack((table.grid, table.values[:, 0, :]))
+    text = "x,phi0,phi1,phi2\n" + "".join(sig_mod.csv_blocks(rows))
     if args.compare_closed_form:
         devs = subdivision.compare_cascade_closed_form(
             spec, depth=args.depth, base_level=args.level
         )
-        lines.append(
+        text += (
             "# max deviation from closed form: "
             + " ".join(f"phi{j}={devs[j]:.3e}" for j in range(3))
+            + "\n"
         )
         print("closed-form deviation:", {f"phi{j}": devs[j] for j in range(3)})
-    text = "\n".join(lines) + "\n"
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)

@@ -214,6 +214,14 @@ def _analysis_step(mask: LevelMask, c: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return coarse, c[1::2] - _predict(mask, coarse)
 
 
+def _check_dim(spec: SpaceSpec, *signals) -> None:
+    for s in signals:
+        if s.dim != spec.dim:
+            raise ValueError(
+                f"signal dim {s.dim} does not match the space's dim {spec.dim}"
+            )
+
+
 def analyze(
     spec: SpaceSpec, signal: HermiteSignal, levels: int
 ) -> tuple[HermiteSignal, list[DetailSignal]]:
@@ -225,6 +233,7 @@ def analyze(
     fine details vanish identically for interpolatory banks).  Returns
     the coarse signal and the detail signals ordered finest first.
     """
+    _check_dim(spec, signal)
     n = signal.level
     if n - levels < 0:
         raise ValueError(f"level underflow: entry level {n} with {levels} steps")
@@ -245,6 +254,7 @@ def synthesize(
     spec: SpaceSpec, coarse: HermiteSignal, details: list[DetailSignal]
 ) -> HermiteSignal:
     """Exact inverse of :func:`analyze` (details ordered finest first)."""
+    _check_dim(spec, coarse, *details)
     c = coarse.data
     level = coarse.level
     for det in reversed(details):
@@ -281,8 +291,8 @@ def compress(
     spec: SpaceSpec, signal: HermiteSignal, levels: int, threshold: float
 ) -> CompressionReport:
     """Analyze, zero detail vectors below ``threshold`` (max-norm), synthesize."""
-    if threshold < 0:
-        raise ValueError("threshold must be nonnegative")
+    if not threshold >= 0:
+        raise ValueError(f"threshold must be nonnegative, got {threshold}")
     coarse, details = analyze(spec, signal, levels)
     total = kept = 0
     pruned = []
@@ -321,10 +331,8 @@ def transform_to_json_dict(
         "spec": {"p": spec.p, "lambda": spec.lam},
         "entry_level": entry_level,
         "L": len(details),
-        "coarse": [[float(x) for x in row] for row in coarse.data],
-        "details": [
-            [[float(x) for x in row] for row in det.data] for det in details
-        ],
+        "coarse": coarse.data.tolist(),
+        "details": [det.data.tolist() for det in details],
     }
 
 

@@ -78,6 +78,8 @@ class DetailSignal:
 
     def __post_init__(self):
         d = np.asarray(self.data, dtype=float)
+        if d.ndim != 2:
+            raise ValueError(f"detail data must be 2-D, got shape {d.shape}")
         d = d.copy()
         d.setflags(write=False)
         object.__setattr__(self, "data", d)
@@ -166,26 +168,87 @@ class SignalFormatError(ValueError):
     """Raised for malformed signal files; the message names the line."""
 
 
+_BLOCK_ROWS = 8192  # rows formatted per write, so the text held stays small
+
+
+def csv_blocks(data: np.ndarray, labels: range | None = None):
+    """CSV text of the rows of ``data``, yielded ``_BLOCK_ROWS`` rows at a time.
+
+    A row is ``labels[i]`` (when given), then every entry of ``data[i]`` as
+    its shortest round-trip ``repr``, joined by commas and ended by a
+    newline.
+    """
+    row = ",".join((["{}"] if labels is not None else []) + ["{!r}"] * data.shape[1]) + "\n"
+    for i in range(0, len(data), _BLOCK_ROWS):
+        columns = data[i : i + _BLOCK_ROWS].T.tolist()
+        if labels is not None:
+            columns.insert(0, labels[i : i + _BLOCK_ROWS])
+        yield "".join(map(row.format, *columns))
+
+
 def write_signal(signal: HermiteSignal, dest) -> None:
     """Write CSV: metadata line, header ``k,f0,...,fd``, one row per node.
 
     ``dest`` is a path or an open text stream (left open).  Numbers use
-    shortest round-trip decimal representation (17 significant digits),
-    so write/read is lossless.
+    shortest round-trip decimal representation (``repr``), so write/read
+    is lossless.
     """
     cols = ",".join(f"f{j}" for j in range(signal.dim))
     with contextlib.nullcontext(dest) if hasattr(dest, "write") else open(dest, "w") as fh:
         fh.write(f"# level={signal.level} dim={signal.dim}\n")
         fh.write(f"k,{cols}\n")
-        for k, row in zip(signal.nodes(), signal.data):
-            fh.write(f"{k}," + ",".join(repr(float(x)) for x in row) + "\n")
+        fh.writelines(csv_blocks(signal.data, range(signal.start, signal.start + len(signal))))
+
+
+def _parse_rows(rows: list[str], dim: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Node and value columns of non-blank data rows, or ``None`` if any is malformed."""
+    if any(ln.count(",") != dim for ln in rows):
+        return None
+    cells = ",".join(rows).split(",")
+    try:
+        nodes = np.array(cells[0 :: dim + 1], dtype=np.int64)
+        del cells[0 :: dim + 1]
+        data = np.array(cells, dtype=float).reshape(len(rows), dim)
+    except (ValueError, OverflowError):
+        return None
+    return (nodes, data) if np.isfinite(data).all() else None
+
+
+def _raise_first_bad_row(path, lines: list[str], dim: int) -> None:
+    """Raise the line-numbered error for the first malformed data row.
+
+    ``lines`` are the lines after the header; each row is checked as
+    :func:`_parse_rows` checks the whole table.
+    """
+    for i, ln in enumerate(lines, start=3):
+        if not ln.strip():
+            continue
+        cells = ln.split(",")
+        if len(cells) != dim + 1:
+            raise SignalFormatError(
+                f"{path}: line {i}: expected {dim + 1} cells, got {len(cells)}"
+            )
+        try:
+            node, values = int(cells[0]), [float(c) for c in cells[1:]]
+        except ValueError as exc:
+            raise SignalFormatError(f"{path}: line {i}: non-numeric cell") from exc
+        if not -(2**63) <= node < 2**63:
+            raise SignalFormatError(f"{path}: line {i}: node index out of range")
+        if not all(map(math.isfinite, values)):
+            raise SignalFormatError(f"{path}: line {i}: non-finite value")
+    raise SignalFormatError(f"{path}: malformed data rows")
 
 
 def read_signal(path) -> HermiteSignal:
-    """Read the CSV format of :func:`write_signal`."""
+    """Read the CSV format of :func:`write_signal`.
+
+    Blank lines are skipped; every value must be finite.  The body is
+    parsed column by column in bulk; only a malformed file is scanned
+    row by row, to name the first bad line.
+    """
     with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    if not lines or not lines[0].startswith("# "):
+        lines = fh.read().split("\n")
+    if not lines[0].startswith("# "):
         raise SignalFormatError(
             f"{path}: line 1: missing metadata line '# level=n dim=d+1'"
         )
@@ -204,23 +267,14 @@ def read_signal(path) -> HermiteSignal:
         raise SignalFormatError(
             f"{path}: line 2: expected header {expect!r}, got {lines[1] if len(lines) > 1 else ''!r}"
         )
-    nodes, rows = [], []
-    for i, ln in enumerate(lines[2:], start=3):
-        if not ln.strip():
-            continue
-        cells = ln.split(",")
-        if len(cells) != dim + 1:
-            raise SignalFormatError(
-                f"{path}: line {i}: expected {dim + 1} cells, got {len(cells)}"
-            )
-        try:
-            nodes.append(int(cells[0]))
-            rows.append([float(c) for c in cells[1:]])
-        except ValueError as exc:
-            raise SignalFormatError(f"{path}: line {i}: non-numeric cell") from exc
+    del lines[:2]
+    rows = [ln for ln in lines if ln.strip()]
     if not rows:
         raise SignalFormatError(f"{path}: no data rows")
-    nodes_arr = np.asarray(nodes)
-    if np.any(np.diff(nodes_arr) != 1):
+    parsed = _parse_rows(rows, dim)
+    if parsed is None:
+        _raise_first_bad_row(path, lines, dim)
+    nodes, data = parsed
+    if np.any(np.diff(nodes) != 1):
         raise SignalFormatError(f"{path}: node indices must be consecutive")
-    return HermiteSignal(level, np.asarray(rows), start=int(nodes_arr[0]))
+    return HermiteSignal(level, data, start=int(nodes[0]))

@@ -5,8 +5,17 @@ import json
 import numpy as np
 import pytest
 
+from hermwave.annihilator import SpaceSpec
 from hermwave.cli import main
-from hermwave.signal import hyperbolic_cosine, read_signal, sample_function, write_signal
+from hermwave.filterbank import analyze, transform_to_json_dict
+from hermwave.signal import (
+    HermiteSignal,
+    hyperbolic_cosine,
+    read_signal,
+    sample_function,
+    write_signal,
+)
+from hermwave.subdivision import render_basic_limit
 
 from golden_data import A_TAPS
 
@@ -34,16 +43,20 @@ def test_filters_high_frequency_level_zero(tmp_path):
     assert json.loads(out.read_text())["interpolatory_residual"] == 0.0
 
 
+def _clean_error(capsys, reason):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert reason in err
+
+
 @pytest.mark.parametrize(
     "lam, reason",
     [("1000", "scaled frequency 1000.0"), ("nan", "must be finite"), ("inf", "must be finite")],
 )
 def test_bad_frequency_is_a_clean_error(lam, reason, capsys):
     assert main(["filters", "--lambda", lam]) == 2
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    assert len(err.splitlines()) == 1 and err.startswith("error:")
-    assert reason in err
+    _clean_error(capsys, reason)
 
 
 def test_filters_taylor(tmp_path):
@@ -73,6 +86,13 @@ def test_verify_passes(tmp_path):
     assert all(v["pass"] for v in report["checks"].values())
 
 
+def test_verify_tolerance_zero_overrides_every_check(tmp_path):
+    out = tmp_path / "r.json"
+    assert main(["verify", "--lambda", "2", "--level", "0", "--tolerance", "0", "--output", str(out)]) == 1
+    checks = json.loads(out.read_text())["checks"]
+    assert checks and all(v["tolerance"] == 0.0 for v in checks.values())
+
+
 def test_verify_perturbation_fails(tmp_path):
     out = tmp_path / "v.json"
     code = main(
@@ -94,6 +114,16 @@ def test_analyze_synthesize_roundtrip(tmp_path, exp_signal, capsys):
     assert np.max(np.abs(a.data - b.data)) < 1e-10
 
 
+def test_coefficient_file_is_compact_json(tmp_path, exp_signal):
+    coeffs = tmp_path / "t.json"
+    assert main(["analyze", "--depth", "3", "--input", str(exp_signal), "--output", str(coeffs)]) == 0
+    text = coeffs.read_text()
+    assert text.count("\n") == 1 and ", " not in text
+    sig = read_signal(exp_signal)
+    spec = SpaceSpec(0, 2.0)
+    assert json.loads(text) == transform_to_json_dict(spec, sig.level, *analyze(spec, sig, 3))
+
+
 def test_synthesize_stdout_matches_file(tmp_path, exp_signal, capsys):
     coeffs, rec = tmp_path / "t.json", tmp_path / "rec.csv"
     main(["analyze", "--lambda", "2", "--depth", "3", "--input", str(exp_signal), "--output", str(coeffs)])
@@ -109,6 +139,49 @@ def test_analyze_wrong_length(tmp_path):
     path = tmp_path / "sig.csv"
     write_signal(sample_function(hyperbolic_cosine(2.0), 9, 0, 66), path)
     assert main(["analyze", "--lambda", "2", "--depth", "3", "--input", str(path)]) == 2
+
+
+def test_analyze_rejects_non_finite_cell(tmp_path, capsys):
+    path = tmp_path / "nan.csv"
+    path.write_text("# level=3 dim=3\nk,f0,f1,f2\n" + "".join(
+        f"{k},{'nan' if k == 5 else 1.0},0.0,0.0\n" for k in range(8)))
+    assert main(["analyze", "--depth", "1", "--input", str(path)]) == 2
+    _clean_error(capsys, "line 8: non-finite value")
+
+
+def test_dimension_mismatch_is_a_clean_error(tmp_path, capsys):
+    path = tmp_path / "dim4.csv"
+    write_signal(HermiteSignal(4, np.ones((16, 4))), path)
+    assert main(["analyze", "--depth", "2", "--input", str(path)]) == 2
+    _clean_error(capsys, "signal dim 4 does not match the space's dim 3")
+    coeffs = tmp_path / "dim4.json"
+    coeffs.write_text(json.dumps({
+        "spec": {"p": 0, "lambda": 2.0}, "entry_level": 4, "L": 1,
+        "coarse": np.ones((8, 4)).tolist(), "details": [np.ones((8, 4)).tolist()],
+    }))
+    assert main(["synthesize", "--input", str(coeffs)]) == 2
+    _clean_error(capsys, "signal dim 4 does not match the space's dim 3")
+    payload = json.loads(coeffs.read_text())
+    payload["details"] = [[1.0, 2.0, 3.0]]
+    coeffs.write_text(json.dumps(payload))
+    assert main(["synthesize", "--input", str(coeffs)]) == 2
+    _clean_error(capsys, "detail data must be 2-D")
+
+
+def test_compress_rejects_nan_threshold(exp_signal, capsys):
+    assert main(["compress", "--threshold", "nan", "--input", str(exp_signal)]) == 2
+    _clean_error(capsys, "threshold must be nonnegative")
+
+
+def test_render_matches_row_by_row_reference(tmp_path):
+    out = tmp_path / "r.csv"
+    assert main(["render", "--lambda", "4", "--level", "1", "--depth", "6", "--output", str(out)]) == 0
+    table = render_basic_limit(SpaceSpec(0, 4.0), 6, base_level=1)
+    rows = [
+        f"{float(x)!r}," + ",".join(repr(float(table.values[t, 0, j])) for j in range(3))
+        for t, x in enumerate(table.grid)
+    ]
+    assert out.read_text() == "\n".join(["x,phi0,phi1,phi2", *rows]) + "\n"
 
 
 def test_render_table(tmp_path):

@@ -1,9 +1,12 @@
 """Filter-bank construction, biorthogonality, factorizations, transform."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hermwave.annihilator import SpaceSpec, make_annihilator, make_taylor
 from hermwave.filterbank import (
@@ -243,6 +246,15 @@ def test_transform_error_contracts():
         analyze(spec, HermiteSignal(5, np.zeros((66, 3))), 3)
     with pytest.raises(ValueError, match="level"):
         synthesize(spec, HermiteSignal(2, np.zeros((8, 3))), [DetailSignal(5, np.zeros((8, 3)))])
+    with pytest.raises(ValueError, match="signal dim 4 does not match the space's dim 3"):
+        analyze(spec, HermiteSignal(5, np.zeros((64, 4))), 3)
+    with pytest.raises(ValueError, match="signal dim 4 does not match"):
+        synthesize(spec, HermiteSignal(2, np.zeros((8, 4))), [DetailSignal(2, np.zeros((8, 4)))])
+    with pytest.raises(ValueError, match="signal dim 2 does not match"):
+        synthesize(spec, HermiteSignal(2, np.zeros((8, 3))), [DetailSignal(2, np.zeros((8, 2)))])
+    for bad in (-1e-8, float("nan")):
+        with pytest.raises(ValueError, match="threshold must be nonnegative"):
+            compress(spec, HermiteSignal(5, np.zeros((64, 3))), 3, bad)
 
 
 def test_transform_json_roundtrip():
@@ -256,6 +268,27 @@ def test_transform_json_roundtrip():
     assert np.array_equal(coarse2.data, coarse.data)
     rec = synthesize(spec2, coarse2, details2)
     assert np.max(np.abs(rec.data - sig.data)) < 1e-12
+
+
+finite_rows = st.integers(1, 6).flatmap(
+    lambda m: arrays(np.float64, (m, 3), elements=st.floats(allow_nan=False, allow_infinity=False))
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(finite_rows, st.lists(finite_rows, min_size=1, max_size=3), st.sampled_from([0.0, 0.5, 2.0]))
+def test_transform_json_roundtrip_bit_exact(coarse, details, lam):
+    # the coefficient file as the CLI writes it: compact JSON of this payload
+    spec = SpaceSpec(0, lam)
+    entry = len(details) + 1
+    dets = [DetailSignal(entry - i, d) for i, d in enumerate(details, start=1)]
+    payload = transform_to_json_dict(spec, entry, HermiteSignal(1, coarse), dets)
+    text = json.dumps(payload, separators=(",", ":"))
+    spec2, entry2, coarse2, details2 = transform_from_json_dict(json.loads(text))
+    assert (spec2, entry2, coarse2.level) == (spec, entry, 1)
+    assert coarse2.data.tobytes() == coarse.tobytes()
+    assert [d.level for d in details2] == [d.level for d in dets]
+    assert [d.data.tobytes() for d in details2] == [d.tobytes() for d in details]
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,13 @@
 """Hermite data model, exact sampling, CSV I/O."""
 
+import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hermwave.annihilator import dilation_matrix
 from hermwave.signal import (
@@ -113,3 +117,102 @@ def test_malformed_metadata(tmp_path):
     p.write_text("# level=x dim=3\nk,f0,f1,f2\n0,1,0,0\n")
     with pytest.raises(SignalFormatError, match="integer"):
         read_signal(p)
+
+
+def _row_by_row(sig):
+    """The CSV body as written one row at a time: the format's reference."""
+    return "".join(
+        f"{k}," + ",".join(repr(float(x)) for x in row) + "\n"
+        for k, row in zip(sig.nodes(), sig.data)
+    )
+
+
+def test_write_matches_row_by_row_reference():
+    # three blocks of rows, with the values that stress shortest repr
+    rng = np.random.default_rng(5)
+    data = rng.standard_normal((2 * 8192 + 5, 3)) * 10.0 ** rng.integers(-300, 300, (2 * 8192 + 5, 3))
+    data[:6, 0] = [-0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1.7976931348623157e308, 0.1]
+    sig = HermiteSignal(7, data, start=-4100)
+    out = io.StringIO()
+    write_signal(sig, out)
+    assert out.getvalue() == "# level=7 dim=3\nk,f0,f1,f2\n" + _row_by_row(sig)
+
+
+signals = st.tuples(st.integers(1, 40), st.integers(1, 4)).flatmap(
+    lambda shape: st.builds(
+        HermiteSignal,
+        st.integers(0, 30),
+        arrays(np.float64, shape, elements=st.floats(allow_nan=False, allow_infinity=False)),
+        st.integers(-(2**40), 2**40),
+    )
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(signals)
+@example(HermiteSignal(0, [[-0.0, 5e-324, 1e308, -1e308]], start=3))
+def test_roundtrip_bit_exact_property(tmp_path_factory, sig):
+    p1 = tmp_path_factory.mktemp("rt") / "a.csv"
+    write_signal(sig, p1)
+    back = read_signal(p1)
+    assert (back.level, back.start, back.data.shape) == (sig.level, sig.start, sig.data.shape)
+    assert back.data.tobytes() == sig.data.tobytes()
+    again = io.StringIO()
+    write_signal(back, again)
+    assert again.getvalue() == p1.read_text()
+
+
+def _body_file(tmp_path, rows):
+    p = tmp_path / "sig.csv"
+    p.write_text("# level=0 dim=3\nk,f0,f1,f2\n" + "".join(r + "\n" for r in rows))
+    return p
+
+
+def test_ragged_row_deep_in_file(tmp_path):
+    rows = [f"{k},1.0,0.0,0.0" for k in range(600)]
+    rows[497] = "497,1.0,0.0"  # file line 500
+    with pytest.raises(SignalFormatError, match="line 500: expected 4 cells, got 3"):
+        read_signal(_body_file(tmp_path, rows))
+
+
+def test_balanced_ragged_rows(tmp_path):
+    # one row short and one long keep the cell count right; both are caught
+    rows = ["0,1.0,0.0,0.0,1", "1,0.0,0.0"]
+    with pytest.raises(SignalFormatError, match="line 3: expected 4 cells, got 5"):
+        read_signal(_body_file(tmp_path, rows))
+
+
+def test_non_numeric_node_cell(tmp_path):
+    rows = ["0,1.0,0.0,0.0", "1.5,1.0,0.0,0.0"]
+    with pytest.raises(SignalFormatError, match="line 4: non-numeric cell"):
+        read_signal(_body_file(tmp_path, rows))
+
+
+def test_node_index_out_of_range(tmp_path):
+    with pytest.raises(SignalFormatError, match="line 3: node index out of range"):
+        read_signal(_body_file(tmp_path, [f"{2**63},1.0,0.0,0.0"]))
+
+
+def test_blank_lines_are_skipped(tmp_path):
+    rows = ["-1,1.0,0.0,0.0", "", "  ", "0,2.0,0.5,0.25", ""]
+    sig = read_signal(_body_file(tmp_path, rows))
+    assert sig.start == -1
+    assert np.array_equal(sig.data, [[1.0, 0.0, 0.0], [2.0, 0.5, 0.25]])
+
+
+def test_non_consecutive_nodes(tmp_path):
+    rows = ["0,1.0,0.0,0.0", "2,1.0,0.0,0.0"]
+    with pytest.raises(SignalFormatError, match="consecutive"):
+        read_signal(_body_file(tmp_path, rows))
+
+
+def test_no_data_rows(tmp_path):
+    with pytest.raises(SignalFormatError, match="no data rows"):
+        read_signal(_body_file(tmp_path, ["", " "]))
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e400"])
+def test_non_finite_cell(tmp_path, cell):
+    rows = ["0,1.0,0.0,0.0", "", f"1,1.0,{cell},0.0"]
+    with pytest.raises(SignalFormatError, match="line 5: non-finite value"):
+        read_signal(_body_file(tmp_path, rows))
