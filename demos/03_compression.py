@@ -9,7 +9,7 @@ runs the thresholding transform on all three and prints the reports.
 Run:  python demos/03_compression.py
 """
 
-import math
+import numpy as np
 
 from hermwave import SpaceSpec, compress
 from hermwave.signal import sample_function
@@ -30,12 +30,12 @@ def main() -> None:
     spec = SpaceSpec(0, lam)
 
     def cosh_like(x, j):
-        return 2.0**j * (math.exp(lam * x) + (-1) ** j * math.exp(-lam * x))
+        return 2.0**j * (np.exp(lam * x) + (-1) ** j * np.exp(-lam * x))
 
     # samples live on x in [0, 1); center the bump there
     def gaussian(x, j):
         u = (x - 0.5) / 0.1
-        g = math.exp(-(u * u) / 2.0)
+        g = np.exp(-(u * u) / 2.0)
         if j == 0:
             return g
         if j == 1:
@@ -43,7 +43,7 @@ def main() -> None:
         return g * (u * u - 1.0) / 0.01
 
     def mismatched(x, j):
-        return 3.0**j * (math.exp(3.0 * x) + (-1) ** j * math.exp(-3.0 * x))
+        return 3.0**j * (np.exp(3.0 * x) + (-1) ** j * np.exp(-3.0 * x))
 
     report("in-space signal  e^{+2x} + e^{-2x}  (exact match)", spec, cosh_like)
     report("generic smooth signal  (Gaussian bump)", spec, gaussian)

@@ -60,6 +60,7 @@ from .subdivision import (
     LimitFunctionTable,
     check_refinement_equation,
     check_spectral_condition,
+    closed_form_deviation,
     closed_form_phi,
     compare_cascade_closed_form,
     derive_mask_from_interpolation,

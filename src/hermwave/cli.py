@@ -185,9 +185,7 @@ def cmd_render(args) -> int:
     rows = np.column_stack((table.grid, table.values[:, 0, :]))
     text = "x,phi0,phi1,phi2\n" + "".join(sig_mod.csv_blocks(rows))
     if args.compare_closed_form:
-        devs = subdivision.compare_cascade_closed_form(
-            spec, depth=args.depth, base_level=args.level
-        )
+        devs = subdivision.closed_form_deviation(spec, table, args.level)
         text += (
             "# max deviation from closed form: "
             + " ".join(f"phi{j}={devs[j]:.3e}" for j in range(3))

@@ -25,6 +25,7 @@ All identities are checked on exact coefficients, never at sample points.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -130,23 +131,18 @@ def check_vanishing_moments(fb: FilterBank, f, halfwidth: float = 2.0) -> float:
     stencil-complete region (no periodic wrap, which would be wrong for
     non-periodic ``f``); for ``f`` in ``V_{0,L}`` the result vanishes.
     """
-    import math as _math
-
     n1 = fb.level + 1
-    m = max(2, _math.ceil(halfwidth * 2**n1))
-    sig = sample_function(f, n1, -m, 2 * m + 1, dim=fb.dim)
+    m = max(2, math.ceil(halfwidth * 2**n1))
+    v = sample_function(f, n1, -m, 2 * m + 1, dim=fb.dim).data
     taps = sorted(fb.B_tilde.taps().items())
-    v = sig.data
-    width = taps[-1][0] - taps[0][0]
-    count = (len(v) - width - 1) // 2 + 1
-    res = 0.0
     t0 = taps[0][0]
-    for k in range(count):
-        acc = np.zeros(fb.dim)
-        for t, mat in taps:
-            acc += mat.T @ v[2 * k + (t - t0)]
-        res = max(res, float(np.max(np.abs(acc))))
-    return res
+    count = (len(v) - (taps[-1][0] - t0) - 1) // 2 + 1
+    # detail k is sum_t v[2k + t - t0] @ tap(t), one strided product per tap
+    acc = np.zeros((count, fb.dim))
+    for t, mat in taps:
+        s = t - t0
+        acc += v[s : s + 2 * count : 2] @ mat
+    return float(np.max(np.abs(acc)))
 
 
 def compute_R(
@@ -336,13 +332,22 @@ def transform_to_json_dict(
     }
 
 
+def _finite_block(block, name: str) -> np.ndarray:
+    """A coefficient block as floats; ``json`` parses ``NaN`` and ``Infinity``."""
+    data = np.asarray(block, dtype=float)
+    if not np.isfinite(data).all():
+        raise ValueError(f"coefficient file: non-finite value in the {name} block")
+    return data
+
+
 def transform_from_json_dict(d: dict) -> tuple[SpaceSpec, int, HermiteSignal, list[DetailSignal]]:
+    """Inverse of :func:`transform_to_json_dict`; every coefficient must be finite."""
     spec = SpaceSpec(int(d["spec"]["p"]), d["spec"]["lambda"])
     entry = int(d["entry_level"])
     levels = int(d["L"])
-    coarse = HermiteSignal(entry - levels, np.asarray(d["coarse"], dtype=float))
+    coarse = HermiteSignal(entry - levels, _finite_block(d["coarse"], "coarse"))
     details = [
-        DetailSignal(entry - step, np.asarray(block, dtype=float))
+        DetailSignal(entry - step, _finite_block(block, f"details[{step - 1}] (level {entry - step})"))
         for step, block in enumerate(d["details"], start=1)
     ]
     return spec, entry, coarse, details

@@ -97,9 +97,13 @@ class DetailSignal:
 # ----------------------------------------------------------------------
 
 def monomial(q: int):
-    """The function ``x^q`` with all derivatives, as ``f(x, j)``."""
+    """The function ``x^q`` with all derivatives, as ``f(x, j)``.
 
-    def f(x: float, j: int) -> float:
+    ``x`` may be a float or an array; a derivative that vanishes
+    identically is the scalar ``0.0``.
+    """
+
+    def f(x, j: int):
         if j > q:
             return 0.0
         return math.perm(q, j) * x ** (q - j)
@@ -110,8 +114,8 @@ def monomial(q: int):
 def exponential(a: float):
     """The function ``e^{a x}`` with all derivatives, as ``f(x, j)``."""
 
-    def f(x: float, j: int) -> float:
-        return a**j * math.exp(a * x)
+    def f(x, j: int):
+        return a**j * np.exp(a * x)
 
     return f
 
@@ -119,8 +123,8 @@ def exponential(a: float):
 def hyperbolic_cosine(lam: float):
     """``cosh(lam x)`` with all derivatives, as ``f(x, j)``."""
 
-    def f(x: float, j: int) -> float:
-        g = math.cosh if j % 2 == 0 else math.sinh
+    def f(x, j: int):
+        g = np.cosh if j % 2 == 0 else np.sinh
         return lam**j * g(lam * x)
 
     return f
@@ -129,27 +133,57 @@ def hyperbolic_cosine(lam: float):
 def sine(omega: float):
     """``sin(omega x)`` with all derivatives, as ``f(x, j)``."""
 
-    def f(x: float, j: int) -> float:
-        g = (math.sin, math.cos, lambda t: -math.sin(t), lambda t: -math.cos(t))
-        return omega**j * g[j % 4](omega * x)
+    def f(x, j: int):
+        sign = -1.0 if j % 4 >= 2 else 1.0
+        g = np.sin if j % 2 == 0 else np.cos
+        return omega**j * (sign * g(omega * x))
 
     return f
 
 
 def v_vector(f, level: int, k: int, dim: int) -> np.ndarray:
     """The v-coordinate vector of ``f`` at level ``level``, node ``k``."""
-    x = 2.0 ** (-level) * k
-    return np.array([2.0 ** (-level * j) * f(x, j) for j in range(dim)])
+    return sample_function(f, level, k, 1, dim).data[0]
 
 
 def sample_function(f, level: int, start: int, count: int, dim: int = 3) -> HermiteSignal:
     """Exact v-coordinate samples of ``f`` on ``count`` consecutive nodes.
 
-    ``f(x, j)`` must return the ``j``-th derivative at ``x`` for
-    ``j < dim``; tabulated data should be wrapped in such a callable (a
-    missing derivative column is the caller's error to surface).
+    ``f(x, j)`` is called once per derivative ``j < dim`` with ``x`` the
+    array of the ``count`` node positions, and must return the ``j``-th
+    derivative there as an array (or scalar) that broadcasts to ``x``;
+    tabulated data should be wrapped in such a callable.
+
+    Raises
+    ------
+    ValueError
+        If ``f`` fails on the array (e.g. it calls ``math.exp``), returns
+        a result of the wrong shape, or gives a non-finite sample.
     """
-    data = np.array([v_vector(f, level, start + k, dim) for k in range(count)])
+    x = 2.0 ** (-level) * np.arange(start, start + count, dtype=float)
+    data = np.empty((count, dim))
+    for j in range(dim):
+        try:
+            # a non-finite sample is reported below, by node, as an error
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                column = f(x, j)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(
+                f"f(x, {j}) failed on an array of {count} node positions ({exc}); "
+                "f must accept numpy arrays, e.g. use np.exp instead of math.exp"
+            ) from exc
+        try:
+            data[:, j] = column
+        except (TypeError, ValueError) as exc:
+            raise ValueError(
+                f"f(x, {j}) returned shape {np.shape(column)}, which does not "
+                f"broadcast to the {count} node positions"
+            ) from exc
+        data[:, j] *= 2.0 ** (-level * j)
+        bad = np.flatnonzero(~np.isfinite(data[:, j]))
+        if bad.size:
+            k = int(bad[0])
+            raise ValueError(f"f(x, {j}) is not finite at node {start + k} (x = {float(x[k])!r})")
     return HermiteSignal(level, data, start)
 
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .annihilator import SpaceSpec, dilation_matrix, inverse_dilation_matrix
 from .laurent import MatLaurent, even_part_dev
-from .signal import HermiteSignal, exponential, monomial, sample_function, v_vector
+from .signal import HermiteSignal, exponential, monomial, sample_function
 
 #: The constant backward tap shared by every level and frequency.
 A_MINUS_1 = np.array(
@@ -77,7 +77,7 @@ class LimitFunctionTable:
         return self.values[:, derivative, j]
 
 
-def _local_basis(mu: float):
+def _local_basis(mu: float, sinh=math.sinh, cosh=math.cosh):
     """The six local basis functions on [0, 1] with two derivatives each.
 
     Returns callables ``f(t, j)``.  The hyperbolic pair is taken in the
@@ -85,20 +85,27 @@ def _local_basis(mu: float):
     ``(cosh(mu t) - 1)/mu^2`` (same span), whose ``mu -> 0`` limits are
     ``t`` and ``t^2/2``; this keeps the interpolation system uniformly
     well conditioned down to the stationary case.
+
+    ``t`` is a float for the ``math`` pair (the mask and piece solves at
+    ``t`` in ``{0, 1/2, 1}``) or an array for ``np.sinh``/``np.cosh``
+    (whole grids).  The two pairs may differ in the last bit, so the
+    solves keep ``math``.
     """
 
     def sinh_scaled(t, j):
         if mu == 0.0:
             return (t, 1.0, 0.0)[j]
-        return (math.sinh(mu * t) / mu, math.cosh(mu * t), mu * math.sinh(mu * t))[j]
+        if j == 1:
+            return cosh(mu * t)
+        return sinh(mu * t) / mu if j == 0 else mu * sinh(mu * t)
 
     def cosh_scaled(t, j):
         if mu == 0.0:
             return (t * t / 2.0, t, 1.0)[j]
         if j == 0:
-            s = math.sinh(mu * t / 2.0)
+            s = sinh(mu * t / 2.0)
             return 2.0 * s * s / (mu * mu)
-        return (math.sinh(mu * t) / mu, math.cosh(mu * t))[j - 1]
+        return sinh_scaled(t, j - 1)
 
     return [
         lambda t, j: (1.0, 0.0, 0.0)[j] if j <= 2 else 0.0,
@@ -261,20 +268,18 @@ def check_spectral_condition(
             "exp(-)": exponential(-lam),
         }
     m = max(2, math.ceil(halfwidth * 2**level))
+    masks = [make_mask(spec, level + step) for step in range(depth)]
+    # dependency cone: nodes within 2^depth - 1 of the window edge are
+    # contaminated by the zero extension
+    edge = 2 * (2**depth - 1)
     report = {}
     for name, f in functions.items():
         sig = sample_function(f, level, -m, 2 * m + 1, dim=3)
-        for step in range(depth):
-            sig = subdivide(make_mask(spec, level + step), sig)
-        # dependency cone: nodes within 2^depth - 1 of the window edge are
-        # contaminated by the zero extension
-        margin = 2**depth - 1
-        nodes = sig.nodes()
-        valid = (nodes >= nodes[0] + 2 * margin) & (nodes <= nodes[-1] - 2 * margin)
-        exact = np.array(
-            [v_vector(f, sig.level, k, 3) for k in nodes[valid]]
-        )
-        report[name] = float(np.max(np.abs(sig.data[valid] - exact)))
+        for mask in masks:
+            sig = subdivide(mask, sig)
+        valid = sig.data[edge : len(sig) - edge]
+        exact = sample_function(f, sig.level, sig.start + edge, len(valid), dim=3)
+        report[name] = float(np.max(np.abs(valid - exact.data)))
     return report
 
 
@@ -294,13 +299,14 @@ def render_basic_limit(
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    masks = [make_mask(spec, base_level + step) for step in range(depth)]
     tables = []
     for j in range(3):
         data = np.zeros((5, 3))
         data[2, j] = 1.0
         sig = HermiteSignal(base_level, data, start=-2)
-        for step in range(depth):
-            sig = subdivide(make_mask(spec, base_level + step), sig)
+        for mask in masks:
+            sig = subdivide(mask, sig)
         tables.append(sig)
     nodes = tables[0].nodes()
     keep = np.abs(nodes) <= 2**depth
@@ -341,15 +347,15 @@ def _piece_coeffs(mu: float, j: int) -> tuple[np.ndarray, np.ndarray]:
     return left, right
 
 
-def closed_form_phi(
-    spec: SpaceSpec, j: int, x: float, level: int = 0, derivative: int = 0
-) -> float:
+def closed_form_phi(spec: SpaceSpec, j: int, x, level: int = 0, derivative: int = 0):
     """Closed-form evaluation of component ``phi_j`` at ``x``.
 
     The two polynomial/hyperbolic pieces are the solutions of the local
     Hermite problems that define the scheme (level ``level`` via the
-    substitution ``lam -> 2^-level lam``); outside ``[-1, 1]`` the value
-    is 0 (compact support).
+    substitution ``lam -> 2^-level lam``).  The value is exactly 0 for
+    ``|x| >= 1``: compact support, and the Hermite end data at ``+-1``
+    are zero.  ``x`` is a float (the result is a float) or an array (the
+    result is an array of its shape).
 
     Note: these closed forms satisfy the Hermite end conditions exactly
     but are *not* exactly refinable, so they agree with the cascade limit
@@ -357,30 +363,40 @@ def closed_form_phi(
     """
     if j not in (0, 1, 2):
         raise ValueError("component must be one of 0, 1, 2")
-    if not -1.0 <= x <= 1.0:
-        return 0.0
+    if derivative not in (0, 1, 2):
+        raise ValueError("derivative must be one of 0, 1, 2")
     mu = spec.frequency_at(level)
     left, right = _piece_coeffs(mu, j)
-    if x >= 0.0:
-        basis = _local_basis(mu)
-        return float(sum(c * f(x, derivative) for c, f in zip(right, basis)))
-    t = x + 1.0
-    basis = [monomial(q) for q in (3, 4, 5)]
-    return float(sum(c * f(t, derivative) for c, f in zip(left, basis)))
+    x = np.asarray(x, dtype=float)
+    out = np.zeros(x.shape)
+    pieces = (
+        ((x >= 0.0) & (x < 1.0), 0.0, right, _local_basis(mu, np.sinh, np.cosh)),
+        ((x > -1.0) & (x < 0.0), 1.0, left, [monomial(q) for q in (3, 4, 5)]),
+    )
+    for inside, shift, coeffs, basis in pieces:
+        t = x[inside] + shift
+        out[inside] = sum(c * f(t, derivative) for c, f in zip(coeffs, basis))
+    return float(out) if out.ndim == 0 else out
+
+
+def closed_form_deviation(
+    spec: SpaceSpec, table: LimitFunctionTable, base_level: int = 0
+) -> dict[int, float]:
+    """Max grid deviation of a rendered ``table`` from the closed forms, per component.
+
+    ``table`` is :func:`render_basic_limit` of ``spec`` at ``base_level``.
+    """
+    return {
+        j: float(np.max(np.abs(table.component(j) - closed_form_phi(spec, j, table.grid, base_level))))
+        for j in range(3)
+    }
 
 
 def compare_cascade_closed_form(
     spec: SpaceSpec, depth: int = 7, base_level: int = 0
 ) -> dict[int, float]:
     """Max grid deviation between cascade and closed forms, per component."""
-    table = render_basic_limit(spec, depth, base_level)
-    out = {}
-    for j in range(3):
-        ref = np.array(
-            [closed_form_phi(spec, j, x, level=base_level) for x in table.grid]
-        )
-        out[j] = float(np.max(np.abs(table.component(j) - ref)))
-    return out
+    return closed_form_deviation(spec, render_basic_limit(spec, depth, base_level), base_level)
 
 
 def check_refinement_equation(spec: SpaceSpec, level: int, depth: int) -> float:

@@ -86,3 +86,44 @@ def sampled_biorthogonality(fb, points: int = 64) -> float:
         sampled_identity_residual([p.involution(), q], target, points)
         for p, q, target in pairs
     )
+
+
+def closed_form_phi_pointwise(spec, j: int, x: float, level: int = 0, derivative: int = 0) -> float:
+    """One point of ``phi_j`` by the scalar ``math`` formula, piece by piece.
+
+    The reference the array evaluation of ``closed_form_phi`` is measured
+    against: the local basis with ``math.sinh``/``math.cosh`` at a single
+    float ``x``, summed coefficient by coefficient.
+    """
+    from hermwave.signal import monomial
+    from hermwave.subdivision import _local_basis, _piece_coeffs
+
+    if not -1.0 <= x <= 1.0:
+        return 0.0
+    mu = spec.frequency_at(level)
+    left, right = _piece_coeffs(mu, j)
+    if x >= 0.0:
+        return float(sum(c * f(x, derivative) for c, f in zip(right, _local_basis(mu))))
+    basis = [monomial(q) for q in (3, 4, 5)]
+    return float(sum(c * f(x + 1.0, derivative) for c, f in zip(left, basis)))
+
+
+def vanishing_moments_loop(fb, f, halfwidth: float = 2.0) -> float:
+    """``check_vanishing_moments`` as one matrix-vector product per node and tap."""
+    import math
+
+    from hermwave.signal import sample_function
+
+    n1 = fb.level + 1
+    m = max(2, math.ceil(halfwidth * 2**n1))
+    v = sample_function(f, n1, -m, 2 * m + 1, dim=fb.dim).data
+    taps = sorted(fb.B_tilde.taps().items())
+    t0 = taps[0][0]
+    count = (len(v) - (taps[-1][0] - t0) - 1) // 2 + 1
+    res = 0.0
+    for k in range(count):
+        acc = np.zeros(fb.dim)
+        for t, mat in taps:
+            acc += mat.T @ v[2 * k + (t - t0)]
+        res = max(res, float(np.max(np.abs(acc))))
+    return res

@@ -15,7 +15,7 @@ from hermwave.signal import (
     sample_function,
     write_signal,
 )
-from hermwave.subdivision import render_basic_limit
+from hermwave.subdivision import compare_cascade_closed_form, render_basic_limit
 
 from golden_data import A_TAPS
 
@@ -135,6 +135,29 @@ def test_synthesize_stdout_matches_file(tmp_path, exp_signal, capsys):
     assert body == rec.read_text()
 
 
+@pytest.mark.parametrize(
+    "block, value, reason",
+    [
+        ("details", float("nan"), "non-finite value in the details[1] (level 7) block"),
+        ("coarse", float("inf"), "non-finite value in the coarse block"),
+        ("details", float("-inf"), "non-finite value in the details[1] (level 7) block"),
+    ],
+)
+def test_synthesize_rejects_non_finite_coefficients(tmp_path, exp_signal, capsys, block, value, reason):
+    coeffs, rec = tmp_path / "t.json", tmp_path / "rec.csv"
+    assert main(["analyze", "--depth", "3", "--input", str(exp_signal), "--output", str(coeffs)]) == 0
+    payload = json.loads(coeffs.read_text())
+    if block == "coarse":
+        payload["coarse"][3][0] = value
+    else:
+        payload["details"][1][5][2] = value
+    coeffs.write_text(json.dumps(payload))  # json writes NaN / Infinity tokens
+    capsys.readouterr()
+    assert main(["synthesize", "--input", str(coeffs), "--output", str(rec)]) == 2
+    _clean_error(capsys, reason)
+    assert not rec.exists()
+
+
 def test_analyze_wrong_length(tmp_path):
     path = tmp_path / "sig.csv"
     write_signal(sample_function(hyperbolic_cosine(2.0), 9, 0, 66), path)
@@ -194,6 +217,18 @@ def test_render_table(tmp_path):
     center = next(ln for ln in lines[1:] if ln.startswith("0.0,"))
     assert float(center.split(",")[1]) == 1.0
     assert lines[-1].startswith("# max deviation from closed form")
+
+
+@pytest.mark.parametrize("lam, level, depth", [("0", 0, 5), ("2", 0, 7), ("8", 1, 6)])
+def test_render_footer_equals_compare_cascade(tmp_path, lam, level, depth):
+    out = tmp_path / "r.csv"
+    assert main(["render", "--lambda", lam, "--level", str(level), "--depth", str(depth),
+                 "--compare-closed-form", "--output", str(out)]) == 0
+    devs = compare_cascade_closed_form(SpaceSpec(0, float(lam)), depth, base_level=level)
+    footer = out.read_text().splitlines()[-1]
+    assert footer == "# max deviation from closed form: " + " ".join(
+        f"phi{j}={devs[j]:.3e}" for j in range(3)
+    )
 
 
 def test_render_distinct_frequencies(tmp_path):

@@ -42,6 +42,7 @@ from golden_data import (
     S_TAPS,
     max_tap_dev,
     sampled_biorthogonality,
+    vanishing_moments_loop,
 )
 
 
@@ -121,6 +122,15 @@ def test_vanishing_moments_on_space_basis(lam, level):
     assert check_vanishing_moments(fb, monomial(0)) < 1e-12
     assert check_vanishing_moments(fb, exponential(lam)) < 1e-10
     assert check_vanishing_moments(fb, exponential(-lam)) < 1e-10
+
+
+@pytest.mark.parametrize("lam", [0.0, 2.0, 8.0])
+@pytest.mark.parametrize("level", [0, 1, 2, 3, 4])
+def test_vanishing_moments_match_node_loop(lam, level):
+    # one strided product per tap against one product per node and tap
+    fb = build_at(SpaceSpec(0, lam), level)
+    for f in (monomial(0), exponential(lam), exponential(-lam), monomial(1)):
+        assert check_vanishing_moments(fb, f) == pytest.approx(vanishing_moments_loop(fb, f), abs=1e-15)
 
 
 def test_vanishing_moments_negative_control():

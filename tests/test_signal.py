@@ -14,10 +14,12 @@ from hermwave.signal import (
     HermiteSignal,
     SignalFormatError,
     exponential,
+    hyperbolic_cosine,
     monomial,
     norms,
     read_signal,
     sample_function,
+    sine,
     v_vector,
     write_signal,
 )
@@ -52,6 +54,81 @@ def test_even_node_dilation_relation():
                 fine = v_vector(f, n + 1, 2 * k, 3)
                 coarse = v_vector(f, n, k, 3)
                 assert fine == pytest.approx(d @ coarse, rel=1e-14)
+
+
+# Scalar ``math`` forms of the four factories: ``(name, parameter) -> f(x, j)``.
+SCALAR_REFERENCE = {
+    "monomial": lambda q: lambda x, j: 0.0 if j > q else math.perm(q, j) * x ** (q - j),
+    "exponential": lambda a: lambda x, j: a**j * math.exp(a * x),
+    "hyperbolic_cosine": lambda lam: lambda x, j: lam**j * (math.cosh if j % 2 == 0 else math.sinh)(lam * x),
+    "sine": lambda w: lambda x, j: w**j * (math.sin, math.cos, lambda t: -math.sin(t), lambda t: -math.cos(t))[j % 4](w * x),
+}
+FACTORIES = {
+    "monomial": monomial,
+    "exponential": exponential,
+    "hyperbolic_cosine": hyperbolic_cosine,
+    "sine": sine,
+}
+PARAMETERS = {
+    "monomial": st.integers(0, 5),
+    "exponential": st.floats(-2.0, 2.0),
+    "hyperbolic_cosine": st.floats(-2.0, 2.0),
+    "sine": st.floats(-20.0, 20.0),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(sorted(FACTORIES)).flatmap(
+        lambda name: st.tuples(st.just(name), PARAMETERS[name])
+    ),
+    st.integers(0, 10),
+    st.integers(-256, 256),
+    st.integers(1, 64),
+    st.integers(1, 4),
+)
+def test_sample_function_matches_scalar_reference(factory, level, start, count, dim):
+    # one array call per derivative against a math call per node, to 2 ulps
+    name, param = factory
+    got = sample_function(FACTORIES[name](param), level, start, count, dim).data
+    f = SCALAR_REFERENCE[name](param)
+    ref = np.array(
+        [[2.0 ** (-level * j) * f(2.0 ** (-level) * k, j) for j in range(dim)]
+         for k in range(start, start + count)]
+    )
+    assert got.shape == (count, dim)
+    assert np.all(np.abs(got - ref) <= 2 * np.spacing(np.abs(ref)))
+
+
+def test_sample_function_rejects_scalar_only_callable():
+    with pytest.raises(ValueError, match=r"f\(x, 0\) failed on an array of 8 node positions.*np\.exp"):
+        sample_function(lambda x, j: math.exp(x), 3, 0, 8)
+
+
+def test_sample_function_rejects_unbroadcastable_result():
+    with pytest.raises(ValueError, match=r"returned shape \(3,\).*8 node positions"):
+        sample_function(lambda x, j: np.ones(3), 3, 0, 8)
+    with pytest.raises(ValueError, match=r"returned shape \(8, 1\)"):
+        sample_function(lambda x, j: x[:, None], 3, 0, 8)
+
+
+@pytest.mark.parametrize(
+    "f, where",
+    [
+        (exponential(1000.0), "f(x, 0) is not finite at node 6 (x = 0.75)"),
+        (lambda x, j: np.sqrt(x - 0.25 * j), "f(x, 1) is not finite at node 0 (x = 0.0)"),
+        (lambda x, j: 1.0 / x, "f(x, 0) is not finite at node 0 (x = 0.0)"),
+    ],
+)
+def test_sample_function_rejects_non_finite_samples(f, where):
+    with pytest.raises(ValueError) as info:
+        sample_function(f, 3, 0, 8)
+    assert str(info.value) == where
+
+
+def test_scalar_samples_broadcast():
+    sig = sample_function(lambda x, j: float(j), 1, -2, 5)
+    assert np.array_equal(sig.data, np.tile([0.0, 0.5, 0.5], (5, 1)))
 
 
 def test_grid_positions():

@@ -11,6 +11,7 @@ from hermwave.subdivision import (
     A_MINUS_1,
     check_refinement_equation,
     check_spectral_condition,
+    closed_form_deviation,
     closed_form_phi,
     compare_cascade_closed_form,
     derive_mask_from_interpolation,
@@ -21,7 +22,7 @@ from hermwave.subdivision import (
     subdivide_periodic,
 )
 
-from golden_data import A_TAPS, max_tap_dev
+from golden_data import A_TAPS, closed_form_phi_pointwise, max_tap_dev
 
 D = dilation_matrix(2)
 
@@ -206,3 +207,55 @@ def test_cascade_close_to_closed_form():
 def test_refinement_equation(spec):
     assert check_refinement_equation(spec, 1, depth=6) < 1e-9
     assert check_refinement_equation(spec, 2, depth=5) < 1e-9
+
+
+DEPTH7_GRID = np.arange(-128, 129) / 128.0
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5, 2.0, 4.0, 8.0])
+def test_closed_form_array_matches_pointwise(lam):
+    # at x = +-1 the pointwise pieces leave roundoff (1.5e-12 at lam = 8)
+    # where the array form returns the exact zero end data; both ends are
+    # checked by test_closed_form_exactly_zero_off_the_open_support.
+    # Values agree to 1e-13 absolute; derivatives, which reach 1.1e3 at
+    # lam = 8, to 1e-13 relative to their largest magnitude on the grid.
+    spec = SpaceSpec(0, lam)
+    for j in range(3):
+        for i in range(3):
+            got = closed_form_phi(spec, j, DEPTH7_GRID, derivative=i)
+            ref = np.array(
+                [closed_form_phi_pointwise(spec, j, float(x), derivative=i) for x in DEPTH7_GRID]
+            )
+            assert got.shape == DEPTH7_GRID.shape
+            bound = 1e-13 * (1.0 if i == 0 else max(1.0, np.max(np.abs(ref))))
+            assert np.max(np.abs(got - ref)[1:-1]) <= bound, (j, i)
+    value = closed_form_phi(spec, 1, 0.25)
+    assert type(value) is float
+    assert value == pytest.approx(closed_form_phi_pointwise(spec, 1, 0.25), abs=1e-13)
+
+
+@pytest.mark.parametrize("lam", [0.0, 2.0, 8.0])
+def test_closed_form_exactly_zero_off_the_open_support(lam):
+    spec = SpaceSpec(0, lam)
+    outside = np.array([-3.0, -1.5, -1.0, 1.0, 1.0 + 2**-20, 2.0])
+    for j in range(3):
+        for i in range(3):
+            assert np.array_equal(closed_form_phi(spec, j, outside, derivative=i), np.zeros(6))
+            assert closed_form_phi(spec, j, 1.0, derivative=i) == 0.0
+            assert closed_form_phi(spec, j, -1.0, derivative=i) == 0.0
+
+
+def test_closed_form_rejects_bad_derivative():
+    with pytest.raises(ValueError, match="derivative"):
+        closed_form_phi(SpaceSpec(0, 2.0), 0, 0.5, derivative=3)
+
+
+@pytest.mark.parametrize("lam", [0.0, 2.0, 8.0])
+def test_compare_cascade_is_closed_form_deviation_of_render(lam):
+    spec = SpaceSpec(0, lam)
+    table = render_basic_limit(spec, 6, base_level=1)
+    devs = compare_cascade_closed_form(spec, depth=6, base_level=1)
+    assert devs == closed_form_deviation(spec, table, 1)
+    for j in range(3):
+        ref = [closed_form_phi_pointwise(spec, j, float(x), level=1) for x in table.grid]
+        assert devs[j] == pytest.approx(np.max(np.abs(table.component(j) - ref)), abs=1e-13)
