@@ -17,7 +17,6 @@ from hermwave import (
     check_vanishing_moments,
     factorization_pair,
     make_annihilator,
-    make_mask,
 )
 from hermwave.signal import exponential, monomial
 
@@ -38,9 +37,8 @@ def main() -> None:
         print(f"  biorthogonality residual      {bio:.2e}")
         print(f"  vanishing-moment residual     {moments:.2e}")
 
-        mask = make_mask(spec, n)
         pair = factorization_pair(
-            mask, make_annihilator(spec, n), make_annihilator(spec, n + 1)
+            bank, make_annihilator(spec, n), make_annihilator(spec, n + 1)
         )
         print(f"  mask factorization residual   {max(pair.residual_R, pair.residual_S):.2e}")
         print(f"  two-level symbol identity     {check_two_level_identity(spec, n):.2e}")

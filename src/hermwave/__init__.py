@@ -63,7 +63,6 @@ from .subdivision import (
     closed_form_deviation,
     closed_form_phi,
     compare_cascade_closed_form,
-    derive_mask_from_interpolation,
     interpolatory_residual,
     make_mask,
     render_basic_limit,

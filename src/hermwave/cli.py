@@ -8,6 +8,8 @@ set ``HERMWAVE_LOG`` (debug/info/warning) for verbosity.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import json
 import logging
 import os
@@ -70,37 +72,26 @@ def _verify_report(spec: SpaceSpec, levels: range, seed: int, perturb: float, to
     def add(name, residual, tol):
         checks.append((name, float(residual), tol if tol_override is None else tol_override))
 
+    lam = spec.lam or 0.0
+    space = {"1": sig_mod.monomial(0), "exp+": sig_mod.exponential(lam),
+             "exp-": sig_mod.exponential(-lam)}
     for n in levels:
         mask = subdivision.make_mask(spec, n)
         bank = filterbank.build(mask)
         add(f"interpolatory[n={n}]", subdivision.interpolatory_residual(mask.symbol), 1e-12)
         add(f"biorthogonality[n={n}]", filterbank.check_biorthogonality(bank), 1e-12)
-        lam = spec.lam or 0.0
-        for name, f in {
-            "1": sig_mod.monomial(0),
-            "exp+": sig_mod.exponential(lam),
-            "exp-": sig_mod.exponential(-lam),
-        }.items():
+        for name, f in space.items():
             add(
                 f"vanishing_moments[n={n},f={name}]",
                 filterbank.check_vanishing_moments(bank, f),
                 1e-10,
             )
-        spectral = subdivision.check_spectral_condition(
-            spec,
-            n,
-            2,
-            functions={
-                "1": sig_mod.monomial(0),
-                "exp+": sig_mod.exponential(lam),
-                "exp-": sig_mod.exponential(-lam),
-            },
-        )
+        spectral = subdivision.check_spectral_condition(spec, n, 2, functions=space)
         add(f"spectral_exponential[n={n}]", max(spectral.values()), 1e-9)
         ann_n = annihilator.make_annihilator(spec, n)
         ann_n1 = annihilator.make_annihilator(spec, n + 1)
         try:
-            pair = filterbank.factorization_pair(mask, ann_n, ann_n1)
+            pair = filterbank.factorization_pair(bank, ann_n, ann_n1)
             add(f"factorization_R[n={n}]", pair.residual_R, 1e-10)
             add(f"factorization_S[n={n}]", pair.residual_S, 1e-10)
         except DivisionError as exc:
@@ -125,17 +116,9 @@ def _verify_report(spec: SpaceSpec, levels: range, seed: int, perturb: float, to
 
     if perturb:
         bank = filterbank.build(subdivision.make_mask(spec, min(levels)))
-        taps = bank.A.taps()
-        bad = {k: np.array(m) for k, m in taps.items()}
+        bad = {k: np.array(m) for k, m in bank.A.taps().items()}
         bad[1][0, 0] += perturb
-        bad_bank = filterbank.FilterBank(
-            bank.level,
-            bank.spec,
-            MatLaurent.from_taps(3, bad),
-            bank.B,
-            bank.A_tilde,
-            bank.B_tilde,
-        )
+        bad_bank = dataclasses.replace(bank, A=MatLaurent.from_taps(3, bad))
         add("perturbed_biorthogonality", filterbank.check_biorthogonality(bad_bank), 1e-12)
     return checks
 
@@ -222,7 +205,9 @@ def cmd_compress(args) -> int:
 # entry point
 # ----------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The six-subcommand parser, built once per process (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="hermwave",
         description="Level-dependent Hermite multiwavelet filter banks",

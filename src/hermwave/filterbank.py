@@ -88,13 +88,10 @@ def build(mask: LevelMask) -> FilterBank:
     res = interpolatory_residual(mask.symbol)
     if res > 1e-10:
         raise ValueError(f"mask is not interpolatory: residual {res:.3e}")
-    dim = mask.dim
+    dim, a = mask.dim, mask.symbol
     dinv = MatLaurent.from_taps(dim, {0: inverse_dilation_matrix(dim - 1)})
-    a = mask.symbol
     b = MatLaurent.identity(dim, power=1)
-    b_tilde = MatLaurent.identity(dim, power=1).mul(dinv).mul(
-        a.involution().negate_arg()
-    )
+    b_tilde = b.mul(dinv).mul(a.involution().negate_arg())
     fb = FilterBank(mask.level, mask.spec, a, b, dinv, b_tilde)
     res = check_biorthogonality(fb)
     if res > BIORTHO_TOL:
@@ -146,16 +143,15 @@ def check_vanishing_moments(fb: FilterBank, f, halfwidth: float = 2.0) -> float:
 
 
 def compute_R(
-    mask: LevelMask, ann_n: Annihilator, ann_n1: Annihilator, tol: float = 1e-10
+    fb: FilterBank, ann_n: Annihilator, ann_n1: Annihilator, tol: float = 1e-10
 ) -> MatLaurent:
-    """Quotient of ``H[n+1](z) A[n](z) = R[n](z) H[n](z^2)``."""
-    if ann_n.level != mask.level or ann_n1.level != mask.level + 1:
+    """Quotient of ``H[n+1](z) A[n](z) = R[n](z) H[n](z^2)``; ``A`` is ``fb.A``."""
+    if ann_n.level != fb.level or ann_n1.level != fb.level + 1:
         raise ValueError(
             f"operator levels ({ann_n.level}, {ann_n1.level}) must bracket "
-            f"mask level {mask.level}"
+            f"bank level {fb.level}"
         )
-    lhs = ann_n1.symbol.mul(mask.symbol)
-    return lhs.divide_right(ann_n.symbol.upsample(), tol=tol)
+    return ann_n1.symbol.mul(fb.A).divide_right(ann_n.symbol.upsample(), tol=tol)
 
 
 def compute_S(
@@ -177,10 +173,9 @@ def compute_S(
         )
     s = fb.B_tilde.involution().divide_right(ann_n1.symbol, tol=tol)
     if cross_check_R is not None:
-        dinv = MatLaurent.from_taps(fb.dim, {0: inverse_dilation_matrix(fb.dim - 1)})
         h_neg = ann_n1.symbol.negate_arg()
         lhs = MatLaurent.identity(fb.dim, power=1).mul(h_neg).mul(s).scale(-1.0)
-        res = max_coeff_dev(lhs, cross_check_R.negate_arg().mul(dinv).mul(h_neg))
+        res = max_coeff_dev(lhs, cross_check_R.negate_arg().mul(fb.A_tilde).mul(h_neg))
         if res > 1e-8:
             raise ValueError(
                 f"wavelet quotient disagrees with the closed formula: {res:.3e}"
@@ -189,13 +184,12 @@ def compute_S(
 
 
 def factorization_pair(
-    mask: LevelMask, ann_n: Annihilator, ann_n1: Annihilator
+    fb: FilterBank, ann_n: Annihilator, ann_n1: Annihilator
 ) -> FactorizationPair:
-    """Both quotients with their factorization residuals."""
-    fb = build(mask)
-    r = compute_R(mask, ann_n, ann_n1)
+    """Both quotients of the bank ``fb`` with their factorization residuals."""
+    r = compute_R(fb, ann_n, ann_n1)
     s = compute_S(fb, ann_n1, cross_check_R=r)
-    res_r = max_coeff_dev(ann_n1.symbol.mul(mask.symbol), r.mul(ann_n.symbol.upsample()))
+    res_r = max_coeff_dev(ann_n1.symbol.mul(fb.A), r.mul(ann_n.symbol.upsample()))
     res_s = max_coeff_dev(fb.B_tilde.involution(), s.mul(ann_n1.symbol))
     return FactorizationPair(r, s, res_r, res_s)
 
@@ -210,11 +204,16 @@ def _analysis_step(mask: LevelMask, c: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return coarse, c[1::2] - _predict(mask, coarse)
 
 
-def _check_dim(spec: SpaceSpec, *signals) -> None:
+def _check_signals(spec: SpaceSpec, *signals) -> None:
+    """Every signal has the space's dim and holds finite data only."""
     for s in signals:
         if s.dim != spec.dim:
             raise ValueError(
                 f"signal dim {s.dim} does not match the space's dim {spec.dim}"
+            )
+        if not np.isfinite(s.data).all():
+            raise ValueError(
+                f"{type(s).__name__} at level {s.level} holds a non-finite value"
             )
 
 
@@ -229,7 +228,7 @@ def analyze(
     fine details vanish identically for interpolatory banks).  Returns
     the coarse signal and the detail signals ordered finest first.
     """
-    _check_dim(spec, signal)
+    _check_signals(spec, signal)
     n = signal.level
     if n - levels < 0:
         raise ValueError(f"level underflow: entry level {n} with {levels} steps")
@@ -250,7 +249,7 @@ def synthesize(
     spec: SpaceSpec, coarse: HermiteSignal, details: list[DetailSignal]
 ) -> HermiteSignal:
     """Exact inverse of :func:`analyze` (details ordered finest first)."""
-    _check_dim(spec, coarse, *details)
+    _check_signals(spec, coarse, *details)
     c = coarse.data
     level = coarse.level
     for det in reversed(details):

@@ -8,10 +8,14 @@ banks, annihilators and all factorization identities live here.
 Conventions
 -----------
 * Coefficients are double-precision reals; evaluation may be complex.
-* A tap whose max-abs entry is below :data:`TRIM_TOL` counts as zero and
-  is trimmed from the support window.
-* Two symbols are equal when their trimmed supports coincide and the
-  coefficients agree entrywise within :data:`EQ_TOL`.
+* The coefficient array over the support window is the representation
+  every operation computes with.  A ``{power: matrix}`` map exists only at
+  the boundary: :meth:`MatLaurent.taps` and :meth:`MatLaurent.from_taps`
+  (and through them the JSON pair).
+* A tap whose max-abs entry is below :data:`TRIM_TOL` counts as zero: it
+  is zeroed, and zero end taps are trimmed from the support window.
+* Two symbols are equal when their coefficients agree entrywise within
+  :data:`EQ_TOL` over the union of their windows.
 
 All instances are immutable after construction and all operations are
 pure functions, so symbols are safe to share across threads.
@@ -19,7 +23,6 @@ pure functions, so symbols are safe to share across threads.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,20 +84,16 @@ class MatLaurent:
     @staticmethod
     def from_taps(dim: int, taps: dict[int, np.ndarray]) -> "MatLaurent":
         """Build a symbol from a ``{power: matrix}`` map (trimmed)."""
-        kept = {
-            k: np.asarray(m, dtype=float)
-            for k, m in taps.items()
-            if np.max(np.abs(m)) >= TRIM_TOL
-        }
-        if not kept:
+        if not taps:
             return MatLaurent.zero(dim)
-        lo, hi = min(kept), max(kept)
-        coeffs = np.zeros((hi - lo + 1, dim, dim))
-        for k, m in kept.items():
+        lo = min(taps)
+        coeffs = np.zeros((max(taps) - lo + 1, dim, dim))
+        for k, m in taps.items():
+            m = np.asarray(m, dtype=float)
             if m.shape != (dim, dim):
                 raise ValueError(f"tap {k} has shape {m.shape}, expected {(dim, dim)}")
             coeffs[k - lo] = m
-        return MatLaurent(dim, lo, hi, coeffs)
+        return _trimmed(dim, lo, coeffs)
 
     @staticmethod
     def zero(dim: int) -> "MatLaurent":
@@ -104,7 +103,7 @@ class MatLaurent:
     @staticmethod
     def identity(dim: int, power: int = 0) -> "MatLaurent":
         """The symbol ``z^power * I``."""
-        return MatLaurent.from_taps(dim, {power: np.eye(dim)})
+        return MatLaurent(dim, power, power, np.eye(dim)[None])
 
     # ------------------------------------------------------------------
     # accessors
@@ -118,11 +117,8 @@ class MatLaurent:
 
     def taps(self) -> dict[int, np.ndarray]:
         """Nonzero coefficients as a ``{power: matrix}`` map."""
-        return {
-            self.lo + i: self.coeffs[i]
-            for i in range(len(self.coeffs))
-            if np.max(np.abs(self.coeffs[i])) >= TRIM_TOL
-        }
+        kept = np.max(np.abs(self.coeffs), axis=(1, 2)) >= TRIM_TOL
+        return {self.lo + int(i): self.coeffs[i] for i in np.flatnonzero(kept)}
 
     @property
     def is_zero(self) -> bool:
@@ -133,12 +129,13 @@ class MatLaurent:
             return NotImplemented
         if self.dim != other.dim:
             return False
-        lo = min(self.lo, other.lo)
-        hi = max(self.hi, other.hi)
-        return all(
-            np.max(np.abs(self.tap(k) - other.tap(k))) <= EQ_TOL
-            for k in range(lo, hi + 1)
-        )
+        return max_coeff_dev(self, other) <= EQ_TOL
+
+    def _window(self, lo: int, hi: int) -> np.ndarray:
+        """Coefficients of ``z^lo .. z^hi`` (zero outside the support)."""
+        out = np.zeros((hi - lo + 1, self.dim, self.dim))
+        out[self.lo - lo : self.hi - lo + 1] = self.coeffs
+        return out
 
     # ------------------------------------------------------------------
     # algebra
@@ -148,51 +145,49 @@ class MatLaurent:
         """Coefficientwise sum; support is the trimmed union window."""
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        lo = min(self.lo, other.lo)
-        hi = max(self.hi, other.hi)
-        return MatLaurent.from_taps(
-            self.dim, {k: self.tap(k) + other.tap(k) for k in range(lo, hi + 1)}
-        )
+        lo, hi = min(self.lo, other.lo), max(self.hi, other.hi)
+        return _trimmed(self.dim, lo, self._window(lo, hi) + other._window(lo, hi))
 
     def __add__(self, other):
         return self.add(other)
 
     def __neg__(self):
-        return MatLaurent.from_taps(self.dim, {k: -m for k, m in self.taps().items()})
+        return _trimmed(self.dim, self.lo, -self.coeffs)
 
     def __sub__(self, other):
         return self.add(-other)
 
     def mul(self, other: "MatLaurent") -> "MatLaurent":
-        """Cauchy product; the matrix product order is preserved."""
+        """Cauchy product, matrix order kept: tap ``t`` sums ``P_i Q_{t-i}`` by increasing ``i``."""
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        out: dict[int, np.ndarray] = {}
-        for i, a in self.taps().items():
-            for j, b in other.taps().items():
-                out[i + j] = out.get(i + j, 0) + a @ b
-        return MatLaurent.from_taps(self.dim, out)
+        n = len(other.coeffs)
+        out = np.zeros((len(self.coeffs) + n - 1, self.dim, self.dim))
+        for i, a in enumerate(self.coeffs):
+            out[i : i + n] += a @ other.coeffs
+        return _trimmed(self.dim, self.lo + other.lo, out)
 
     def __matmul__(self, other):
         return self.mul(other)
 
     def scale(self, s: float) -> "MatLaurent":
         """Scalar multiple ``s * P(z)``."""
-        return MatLaurent.from_taps(self.dim, {k: s * m for k, m in self.taps().items()})
+        return _trimmed(self.dim, self.lo, s * self.coeffs)
 
     def involution(self) -> "MatLaurent":
         """The conjugate symbol ``P#(z) = P(z^-1)^T``: taps ``k -> P_{-k}^T``."""
-        return MatLaurent.from_taps(self.dim, {-k: m.T for k, m in self.taps().items()})
+        return MatLaurent(self.dim, -self.hi, -self.lo, self.coeffs[::-1].transpose(0, 2, 1))
 
     def negate_arg(self) -> "MatLaurent":
         """The substitution ``z -> -z``: taps ``k -> (-1)^k P_k``."""
-        return MatLaurent.from_taps(
-            self.dim, {k: ((-1) ** k) * m for k, m in self.taps().items()}
-        )
+        sign = 1.0 - 2.0 * (np.arange(self.lo, self.hi + 1) % 2)
+        return _trimmed(self.dim, self.lo, sign[:, None, None] * self.coeffs)
 
     def upsample(self) -> "MatLaurent":
         """The substitution ``z -> z^2``: tap ``k`` moves to position ``2k``."""
-        return MatLaurent.from_taps(self.dim, {2 * k: m for k, m in self.taps().items()})
+        out = np.zeros((2 * len(self.coeffs) - 1, self.dim, self.dim))
+        out[::2] = self.coeffs
+        return MatLaurent(self.dim, 2 * self.lo, 2 * self.hi, out)
 
     def eval(self, z: complex) -> np.ndarray:
         """Evaluate ``sum_k P_k z^k`` at a nonzero scalar ``z`` (Horner)."""
@@ -233,18 +228,15 @@ class MatLaurent:
             raise DivisionError(
                 "not divisible: spectral condition violated (empty quotient window)"
             )
-        q_taps = list(range(lo_q, hi_q + 1))
-        out_taps = list(range(lo_q + divisor.lo, hi_q + divisor.hi + 1))
-        # For each output tap t:  sum_j R_j D_{t-j} = L_t, i.e. transposed,
-        # L_t^T = [D_{t-j}^T]_j stacked against Y = [R_j^T]_j.
-        rows, rhs = [], []
-        for t in out_taps:
-            rows.append(np.hstack([divisor.tap(t - j).T for j in q_taps]))
-            rhs.append(self.tap(t).T)
-        sol, *_ = np.linalg.lstsq(np.vstack(rows), np.vstack(rhs), rcond=None)
-        quotient = MatLaurent.from_taps(
-            r, {j: sol[i * r : (i + 1) * r].T for i, j in enumerate(q_taps)}
-        )
+        nq, nd = hi_q - lo_q + 1, len(divisor.coeffs)
+        # The output taps t are self's window: sum_j R_j D_{t-j} = L_t, i.e.
+        # transposed, L_t^T = [D_{t-j}^T]_j stacked against Y = [R_j^T]_j.
+        system = np.zeros((nq + nd - 1, r, nq, r))
+        for j in range(nq):
+            system[j : j + nd, :, j, :] = divisor.coeffs.transpose(0, 2, 1)
+        rhs = self.coeffs.transpose(0, 2, 1).reshape(-1, r)
+        sol, *_ = np.linalg.lstsq(system.reshape(-1, nq * r), rhs, rcond=None)
+        quotient = _trimmed(r, lo_q, sol.reshape(nq, r, r).transpose(0, 2, 1))
         residual = max_coeff_dev(quotient.mul(divisor), self)
         if residual > tol:
             raise DivisionError(
@@ -275,21 +267,26 @@ class MatLaurent:
         }
         return MatLaurent.from_taps(dim, taps)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
-    @staticmethod
-    def from_json(s: str) -> "MatLaurent":
-        return MatLaurent.from_json_dict(json.loads(s))
+def _trimmed(dim: int, lo: int, coeffs: np.ndarray) -> MatLaurent:
+    """The normal form of the coefficients of ``z^lo, z^lo+1, ...``.
+
+    Zeroes every tap whose max-abs entry is below :data:`TRIM_TOL`, then
+    drops the zero end taps (all taps zero gives :meth:`MatLaurent.zero`).
+    """
+    kept = np.max(np.abs(coeffs), axis=(1, 2)) >= TRIM_TOL
+    idx = np.flatnonzero(kept)
+    if not len(idx):
+        return MatLaurent.zero(dim)
+    first, last = int(idx[0]), int(idx[-1])
+    body = np.where(kept[:, None, None], coeffs, 0.0)[first : last + 1]
+    return MatLaurent(dim, lo + first, lo + last, body)
 
 
 def max_coeff_dev(P: MatLaurent, Q: MatLaurent) -> float:
     """Max-abs entrywise deviation between two symbols over the union window."""
-    lo = min(P.lo, Q.lo)
-    hi = max(P.hi, Q.hi)
-    return max(
-        float(np.max(np.abs(P.tap(k) - Q.tap(k)))) for k in range(lo, hi + 1)
-    )
+    lo, hi = min(P.lo, Q.lo), max(P.hi, Q.hi)
+    return float(np.max(np.abs(P._window(lo, hi) - Q._window(lo, hi))))
 
 
 def even_part_dev(P: MatLaurent, target: np.ndarray) -> float:
@@ -303,12 +300,10 @@ def even_part_dev(P: MatLaurent, target: np.ndarray) -> float:
     the max residual over ``unit_circle_points(N)`` for ``N`` wider than
     the support.
     """
-    zero = np.zeros((P.dim, P.dim))
-    return 2.0 * max(
-        float(np.max(np.abs(P.tap(k) - (target if k == 0 else zero))))
-        for k in range(min(P.lo, 0), max(P.hi, 0) + 1)
-        if k % 2 == 0
-    )
+    lo = min(P.lo, 0) - min(P.lo, 0) % 2
+    even = P._window(lo, max(P.hi, 0))[::2]
+    even[-lo // 2] -= target
+    return 2.0 * float(np.max(np.abs(even)))
 
 
 def unit_circle_points(count: int, seed: int | None = None) -> np.ndarray:

@@ -121,7 +121,7 @@ def _derivs(f, t: float) -> np.ndarray:
     return np.array([f(t, j) for j in range(3)])
 
 
-def derive_mask_from_interpolation(spec: SpaceSpec, level: int) -> LevelMask:
+def make_mask(spec: SpaceSpec, level: int) -> LevelMask:
     """Derive the level-``level`` mask from midpoint Hermite interpolation.
 
     Solves, rowwise, the 6x6 linear system expressing
@@ -137,6 +137,8 @@ def derive_mask_from_interpolation(spec: SpaceSpec, level: int) -> LevelMask:
     ValueError
         If the spec is outside the implemented family or the
         interpolation system is ill conditioned.
+    AssertionError
+        If the solved backward tap misses :data:`A_MINUS_1`.
     """
     if spec.p != 0 or spec.lam is None:
         raise ValueError(
@@ -168,23 +170,11 @@ def _solve_mask_system(mu: float) -> tuple[np.ndarray, np.ndarray]:
     sol = np.linalg.solve(m, rhs)
     a1 = sol[:3].T.copy()
     am1 = sol[3:].T.copy()
+    if np.max(np.abs(am1 - A_MINUS_1)) > 1e-11:
+        raise AssertionError("derived mask violates the constant backward tap")
     a1.setflags(write=False)
     am1.setflags(write=False)
     return a1, am1
-
-
-def make_mask(spec: SpaceSpec, level: int) -> LevelMask:
-    """The authoritative mask constructor.
-
-    Returns :func:`derive_mask_from_interpolation` after asserting the
-    structural identities ``tap(0) == D`` and ``tap(-1) == A_MINUS_1``.
-    """
-    lm = derive_mask_from_interpolation(spec, level)
-    if np.max(np.abs(lm.tap(0) - dilation_matrix(2))) > 1e-12:
-        raise AssertionError("derived mask violates tap(0) == D")
-    if np.max(np.abs(lm.tap(-1) - A_MINUS_1)) > 1e-11:
-        raise AssertionError("derived mask violates the constant backward tap")
-    return lm
 
 
 def interpolatory_residual(symbol: MatLaurent) -> float:
@@ -210,16 +200,11 @@ def subdivide(mask: LevelMask, signal: HermiteSignal) -> HermiteSignal:
     if signal.dim != mask.dim:
         raise ValueError(f"dimension mismatch: signal {signal.dim} vs mask {mask.dim}")
     c = signal.data
-    n_in = len(c)
-    out = np.zeros((2 * n_in + 1, mask.dim))
-    d = mask.tap(0)
-    a1 = mask.tap(1)
-    am1 = mask.tap(-1)
-    out[1::2] = c @ d.T
-    # odd output 2(start+m)+1 (array position 2m+2) = A_1 c_m + A_-1 c_{m+1}
-    out[2::2] = c @ a1.T
-    out[2 : 2 * n_in - 1 : 2] += c[1:] @ am1.T
-    out[0] = am1 @ c[0]
+    out = np.empty((2 * len(c) + 1, mask.dim))
+    out[1::2] = c @ mask.tap(0).T
+    # odd output 2(start+m)-1 (array position 2m) = A_1 c_{m-1} + A_-1 c_m;
+    # the zero row in front of c is the zero extension on both ends
+    out[0::2] = _predict(mask, np.pad(c, ((1, 0), (0, 0))))
     return HermiteSignal(signal.level + 1, out, 2 * signal.start - 1)
 
 

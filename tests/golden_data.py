@@ -7,7 +7,7 @@ The high-pass reference is recorded in its conjugate display ``B~#(z)``
 
 import numpy as np
 
-from hermwave.laurent import unit_circle_points
+from hermwave.laurent import MatLaurent, unit_circle_points
 
 D = np.diag([1.0, 0.5, 0.25])
 
@@ -42,6 +42,45 @@ S_TAPS = {
     -1: np.array([[-16, 10, -2], [-30, 14, -2], [0, -24, 8]]) / 32.0,
     0: np.array([[16, -6, 0], [-30, 16, -3], [0, -24, 16]]) / 32.0,
 }
+
+
+# ----------------------------------------------------------------------
+# dict-based symbol operations: the reference the coefficient-array
+# algebra of MatLaurent must match bit for bit
+# ----------------------------------------------------------------------
+
+def dict_add(self, other):
+    lo = min(self.lo, other.lo)
+    hi = max(self.hi, other.hi)
+    return MatLaurent.from_taps(
+        self.dim, {k: self.tap(k) + other.tap(k) for k in range(lo, hi + 1)}
+    )
+
+
+def dict_mul(self, other):
+    out = {}
+    for i, a in self.taps().items():
+        for j, b in other.taps().items():
+            out[i + j] = out.get(i + j, 0) + a @ b
+    return MatLaurent.from_taps(self.dim, out)
+
+
+def dict_scale(self, s):
+    return MatLaurent.from_taps(self.dim, {k: s * m for k, m in self.taps().items()})
+
+
+def dict_involution(self):
+    return MatLaurent.from_taps(self.dim, {-k: m.T for k, m in self.taps().items()})
+
+
+def dict_negate_arg(self):
+    return MatLaurent.from_taps(
+        self.dim, {k: ((-1) ** k) * m for k, m in self.taps().items()}
+    )
+
+
+def dict_upsample(self):
+    return MatLaurent.from_taps(self.dim, {2 * k: m for k, m in self.taps().items()})
 
 
 def max_tap_dev(symbol, taps: dict) -> float:

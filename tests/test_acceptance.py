@@ -56,7 +56,6 @@ from hermwave.subdivision import (
     A_MINUS_1,
     check_spectral_condition,
     compare_cascade_closed_form,
-    derive_mask_from_interpolation,
     make_mask,
 )
 
@@ -74,7 +73,7 @@ def test_criterion_01_golden_stationary_matrices():
     mask = make_mask(spec, 0)
     bank = build_at(spec, 0)
     pair = factorization_pair(
-        mask, make_annihilator(spec, 0), make_annihilator(spec, 1)
+        bank, make_annihilator(spec, 0), make_annihilator(spec, 1)
     )
     devs = {
         "A": max_tap_dev(mask.symbol, A_TAPS),
@@ -97,7 +96,7 @@ def test_criterion_02_golden_mask_taps():
     worst = 0.0
     for lam in LAM_GRID:
         for level in range(5):
-            m = derive_mask_from_interpolation(SpaceSpec(0, lam), level)
+            m = make_mask(SpaceSpec(0, lam), level)
             worst = max(
                 worst,
                 float(np.max(np.abs(m.tap(-1) - A_MINUS_1))),
@@ -180,14 +179,14 @@ def test_criterion_07_factorizations():
         spec = SpaceSpec(0, lam)
         for level in range(5):
             pair = factorization_pair(
-                make_mask(spec, level),
+                build_at(spec, level),
                 make_annihilator(spec, level),
                 make_annihilator(spec, level + 1),
             )
             worst = max(worst, pair.residual_R, pair.residual_S)
     spec0 = SpaceSpec(0, 0.0)
     pair0 = factorization_pair(
-        make_mask(spec0, 0), make_annihilator(spec0, 0), make_annihilator(spec0, 1)
+        build_at(spec0, 0), make_annihilator(spec0, 0), make_annihilator(spec0, 1)
     )
     golden = max(max_tap_dev(pair0.R, R_TAPS), max_tap_dev(pair0.S, S_TAPS))
     _finish(

@@ -1,11 +1,15 @@
 """End-to-end exercises of the command-line front end."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hermwave.annihilator import SpaceSpec
+from hermwave import cli
 from hermwave.cli import main
 from hermwave.filterbank import analyze, transform_to_json_dict
 from hermwave.signal import (
@@ -35,6 +39,26 @@ def test_filters_emits_mask(tmp_path, capsys):
     assert np.allclose(np.reshape(tap_m1["matrix"], (3, 3)), A_TAPS[-1], atol=1e-12)
     assert "A_tilde" in payload and "B_tilde" in payload
     assert "interpolatory residual" in capsys.readouterr().out
+
+
+def test_consecutive_calls_match_fresh_processes(capsys):
+    # the parser is built once per process; no call may see another's flags
+    calls = [["filters", "--taylor", "--d", "3"], ["filters", "--lambda", "2"], ["verify", "--level", "0"]]
+    in_process = []
+    for argv in calls:
+        rc = main(argv)
+        in_process.append((rc, capsys.readouterr().out))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    fresh = [
+        subprocess.run(
+            [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r}); "
+             "from hermwave.cli import main; sys.exit(main(sys.argv[1:]))", *argv],
+            capture_output=True, text=True,
+        )
+        for argv in calls
+    ]
+    assert in_process == [(p.returncode, p.stdout) for p in fresh]
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_filters_high_frequency_level_zero(tmp_path):

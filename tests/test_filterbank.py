@@ -147,7 +147,7 @@ def test_stationary_quotients_match_reference():
     mask = make_mask(SpaceSpec(0, 0.0), 0)
     ann0 = make_annihilator(SpaceSpec(0, 0.0), 0)
     ann1 = make_annihilator(SpaceSpec(0, 0.0), 1)
-    pair = factorization_pair(mask, ann0, ann1)
+    pair = factorization_pair(build(mask), ann0, ann1)
     assert max_tap_dev(pair.R, R_TAPS) < 1e-12
     assert max_tap_dev(pair.S, S_TAPS) < 1e-12
     assert pair.residual_R < 1e-10 and pair.residual_S < 1e-10
@@ -158,7 +158,7 @@ def test_stationary_quotients_match_reference():
 def test_factorization_residuals(lam, level):
     spec = SpaceSpec(0, lam)
     pair = factorization_pair(
-        make_mask(spec, level),
+        build_at(spec, level),
         make_annihilator(spec, level),
         make_annihilator(spec, level + 1),
     )
@@ -172,7 +172,7 @@ def test_factorization_failure_on_perturbed_mask():
     taps[1][0, 0] += 1e-3
     bad = LevelMask(0, spec, MatLaurent.from_taps(3, taps))
     with pytest.raises(DivisionError):
-        compute_R(bad, make_annihilator(spec, 0), make_annihilator(spec, 1))
+        compute_R(build(bad), make_annihilator(spec, 0), make_annihilator(spec, 1))
 
 
 def test_wavelet_quotient_closed_form_cross_check():
@@ -180,7 +180,7 @@ def test_wavelet_quotient_closed_form_cross_check():
     mask = make_mask(spec, 1)
     ann1, ann2 = make_annihilator(spec, 1), make_annihilator(spec, 2)
     fb = build(mask)
-    r = compute_R(mask, ann1, ann2)
+    r = compute_R(fb, ann1, ann2)
     assert compute_S(fb, ann2, cross_check_R=r) == compute_S(fb, ann2)
     taps = {k: np.array(m) for k, m in r.taps().items()}
     taps[0][1, 1] += 1e-6
@@ -265,6 +265,28 @@ def test_transform_error_contracts():
     for bad in (-1e-8, float("nan")):
         with pytest.raises(ValueError, match="threshold must be nonnegative"):
             compress(spec, HermiteSignal(5, np.zeros((64, 3))), 3, bad)
+
+
+def test_analyze_rejects_non_finite_signal():
+    spec = SpaceSpec(0, 2.0)
+    data = sample_function(hyperbolic_cosine(2.0), 4, 0, 16).data.copy()
+    data[5, 1] = np.nan
+    with pytest.raises(ValueError, match="HermiteSignal at level 4 holds a non-finite value"):
+        analyze(spec, HermiteSignal(4, data), 2)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_synthesize_rejects_non_finite_coefficients(value):
+    spec = SpaceSpec(0, 2.0)
+    coarse, details = analyze(spec, sample_function(hyperbolic_cosine(2.0), 4, 0, 16), 2)
+    bad = details[1].data.copy()
+    bad[1, 0] = value
+    with pytest.raises(ValueError, match="DetailSignal at level 2 holds a non-finite value"):
+        synthesize(spec, coarse, [details[0], DetailSignal(2, bad)])
+    bad = coarse.data.copy()
+    bad[0, 2] = value
+    with pytest.raises(ValueError, match="HermiteSignal at level 2 holds a non-finite value"):
+        synthesize(spec, HermiteSignal(2, bad), details)
 
 
 def test_transform_json_roundtrip():

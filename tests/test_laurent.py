@@ -15,7 +15,19 @@ from hermwave.laurent import (
     unit_circle_points,
 )
 
-from golden_data import A_TAPS, R_TAPS, T_TAPS, max_tap_dev, sampled_identity_residual
+from golden_data import (
+    A_TAPS,
+    R_TAPS,
+    T_TAPS,
+    dict_add,
+    dict_involution,
+    dict_mul,
+    dict_negate_arg,
+    dict_scale,
+    dict_upsample,
+    max_tap_dev,
+    sampled_identity_residual,
+)
 
 
 def rand_symbol(rng, dim=3, max_taps=4) -> MatLaurent:
@@ -107,6 +119,70 @@ def test_ring_axioms(p, q, r):
     assert max_coeff_dev(p.add(q).add(r), p.add(q.add(r))) < 1e-13
     assert max_coeff_dev(p.mul(q.add(r)), p.mul(q).add(p.mul(r))) < 1e-13
     assert max_coeff_dev(p.add(q).mul(r), p.mul(r).add(q.mul(r))) < 1e-13
+
+
+# ----------------------------------------------------------------------
+# the coefficient-array algebra against the dict-based reference
+# ----------------------------------------------------------------------
+
+def assert_same(p: MatLaurent, q: MatLaurent) -> None:
+    assert (p.dim, p.lo, p.hi) == (q.dim, q.lo, q.hi)
+    assert np.array_equal(p.coeffs, q.coeffs)
+
+
+scales = st.sampled_from([0.0, 1e-15, -1.0]) | st.floats(-10.0, 10.0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(symbols, symbols, scales)
+def test_array_ops_match_dict_reference(p, q, s):
+    assert_same(p.add(q), dict_add(p, q))
+    assert_same(p.mul(q), dict_mul(p, q))
+    assert_same(p.scale(s), dict_scale(p, s))
+    assert_same(p.involution(), dict_involution(p))
+    assert_same(p.negate_arg(), dict_negate_arg(p))
+    assert_same(p.upsample(), dict_upsample(p))
+    # interior zero taps on either side of a product
+    assert_same(p.upsample().mul(q), dict_mul(dict_upsample(p), q))
+    assert_same(q.mul(p.upsample()), dict_mul(q, dict_upsample(p)))
+
+
+def test_interior_tap_below_trim_tol_is_zeroed():
+    rng = np.random.default_rng(8)
+    a, b, c = (rng.uniform(-1, 1, (3, 3)) for _ in range(3))
+    p = MatLaurent.from_taps(3, {0: a, 1: b, 2: c})
+    q = MatLaurent.from_taps(3, {1: -b + 1e-15})
+    s = p.add(q)
+    assert (s.lo, s.hi) == (0, 2)
+    assert np.array_equal(s.tap(1), np.zeros((3, 3)))
+    assert sorted(s.taps()) == [0, 2]
+    assert_same(s, dict_add(p, q))
+
+
+def test_cancelling_end_taps_shrink_the_window():
+    rng = np.random.default_rng(9)
+    a, b, c = (rng.uniform(-1, 1, (3, 3)) for _ in range(3))
+    p = MatLaurent.from_taps(3, {-1: a, 0: b, 1: c})
+    q = MatLaurent.from_taps(3, {-1: -a, 1: -c})
+    s = p.add(q)
+    assert (s.lo, s.hi) == (0, 0)
+    assert np.array_equal(s.coeffs[0], b)
+    assert_same(s, dict_add(p, q))
+
+
+def test_product_with_zero_symbol():
+    p = rand_symbol(np.random.default_rng(10))
+    zero = MatLaurent.zero(3)
+    for prod in (p.mul(zero), zero.mul(p)):
+        assert_same(prod, zero)
+    assert_same(p.mul(zero), dict_mul(p, zero))
+
+
+def test_difference_with_itself_is_zero_normal_form():
+    p = rand_symbol(np.random.default_rng(11))
+    d = p - p
+    assert d.is_zero
+    assert_same(d, MatLaurent.zero(3))
 
 
 # ----------------------------------------------------------------------
@@ -236,19 +312,23 @@ def test_divide_right_failure_detected():
 # serialization
 # ----------------------------------------------------------------------
 
+def _json_trip(p: MatLaurent) -> MatLaurent:
+    return MatLaurent.from_json_dict(json.loads(json.dumps(p.to_json_dict())))
+
+
 def test_json_roundtrip_bit_exact():
     rng = np.random.default_rng(7)
     p = rand_symbol(rng)
-    q = MatLaurent.from_json(p.to_json())
+    q = _json_trip(p)
     assert q.lo == p.lo and q.hi == p.hi
     assert np.array_equal(q.coeffs, p.coeffs)
     # stable across a second trip
-    assert MatLaurent.from_json(q.to_json()).to_json() == q.to_json()
+    assert json.dumps(_json_trip(q).to_json_dict()) == json.dumps(q.to_json_dict())
 
 
 def test_json_schema_shape():
     p = MatLaurent.from_taps(2, {1: np.arange(4.0).reshape(2, 2)})
-    d = json.loads(p.to_json())
+    d = json.loads(json.dumps(p.to_json_dict()))
     assert d["dim"] == 2 and d["taps"] == [{"k": 1, "matrix": [0.0, 1.0, 2.0, 3.0]}]
 
 

@@ -14,7 +14,6 @@ from hermwave.subdivision import (
     closed_form_deviation,
     closed_form_phi,
     compare_cascade_closed_form,
-    derive_mask_from_interpolation,
     interpolatory_residual,
     make_mask,
     render_basic_limit,
@@ -34,7 +33,7 @@ D = dilation_matrix(2)
 @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0, 4.0])
 @pytest.mark.parametrize("level", [0, 1, 2, 3, 4])
 def test_constant_backward_tap(lam, level):
-    m = derive_mask_from_interpolation(SpaceSpec(0, lam), level)
+    m = make_mask(SpaceSpec(0, lam), level)
     assert np.max(np.abs(m.tap(-1) - A_MINUS_1)) < 1e-12
     assert np.max(np.abs(m.tap(0) - D)) < 1e-12
 
@@ -68,9 +67,9 @@ def test_mask_level_rule_is_frequency_halving():
 
 def test_rejects_unsupported_spec():
     with pytest.raises(ValueError):
-        derive_mask_from_interpolation(SpaceSpec(1, 1.0), 0)
+        make_mask(SpaceSpec(1, 1.0), 0)
     with pytest.raises(ValueError):
-        derive_mask_from_interpolation(SpaceSpec(0, None), 0)
+        make_mask(SpaceSpec(0, None), 0)
 
 
 # ----------------------------------------------------------------------
