@@ -10,7 +10,6 @@ derivative) data.
 from .annihilator import (
     Annihilator,
     SpaceSpec,
-    apply,
     check_eigvec_condition,
     check_two_level_identity,
     dilation_matrix,
@@ -39,7 +38,6 @@ from .laurent import (
     MatLaurent,
     even_part_dev,
     max_coeff_dev,
-    unit_circle_points,
 )
 from .signal import (
     DetailSignal,
@@ -48,7 +46,6 @@ from .signal import (
     exponential,
     hyperbolic_cosine,
     monomial,
-    norms,
     read_signal,
     sample_function,
     sine,
@@ -58,7 +55,6 @@ from .subdivision import (
     A_MINUS_1,
     LevelMask,
     LimitFunctionTable,
-    check_refinement_equation,
     check_spectral_condition,
     closed_form_deviation,
     closed_form_phi,

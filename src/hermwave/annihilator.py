@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .laurent import MatLaurent, max_coeff_dev
-from .signal import HermiteSignal
 
 #: Below this scaled frequency the constructor returns the Taylor operator.
 TAYLOR_FALLBACK_MU = 1e-8
@@ -187,35 +186,6 @@ def make_annihilator(spec: SpaceSpec, level: int) -> Annihilator:
     dim = spec.dim
     symbol = MatLaurent.from_taps(dim, {-1: np.eye(dim), 0: _h0_matrix(spec.p, mu)})
     return Annihilator(level, spec, symbol)
-
-
-def apply(ann: Annihilator, signal: HermiteSignal) -> HermiteSignal:
-    """Convolve the operator taps with a signal (periodic extension).
-
-    Output node ``j`` is ``v_{j+1} + H0 v_j``; exact samples of
-    ``V_{p,L}`` elements map to (numerically) zero.
-    """
-    if signal.level != ann.level:
-        raise ValueError(f"level mismatch: signal {signal.level} vs operator {ann.level}")
-    if signal.dim != ann.dim:
-        raise ValueError(f"dimension mismatch: signal {signal.dim} vs operator {ann.dim}")
-    h0 = ann.symbol.tap(0)
-    v = signal.data
-    out = np.roll(v, -1, axis=0) + v @ h0.T
-    return HermiteSignal(signal.level, out, signal.start)
-
-
-def apply_exact(ann: Annihilator, f, start: int, count: int) -> np.ndarray:
-    """Operator output on exact samples of ``f``, stencil fully in range.
-
-    Avoids the periodic wrap (which is wrong for non-periodic ``f``) by
-    sampling one extra node; returns the ``count`` valid output vectors.
-    """
-    from .signal import sample_function
-
-    sig = sample_function(f, ann.level, start, count + 1, ann.dim)
-    v = sig.data
-    return v[1:] + v[:-1] @ ann.symbol.tap(0).T
 
 
 def check_eigvec_condition(ann: Annihilator) -> float:

@@ -124,6 +124,8 @@ def _verify_report(spec: SpaceSpec, levels: range, seed: int, perturb: float, to
 
 
 def cmd_verify(args) -> int:
+    if args.level is not None and args.level < 0:
+        raise ValueError(f"level must be >= 0, got {args.level}")
     spec = _spec_from(args)
     levels = range(0, (args.level if args.level is not None else 4) + 1)
     checks = _verify_report(spec, levels, args.seed, args.perturb, args.tolerance)

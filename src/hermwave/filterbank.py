@@ -38,6 +38,10 @@ from .subdivision import LevelMask, _predict, interpolatory_residual, make_mask
 #: Residual bound for accepting a bank as biorthogonal.
 BIORTHO_TOL = 1e-12
 
+#: ``(D^-1)^T`` of the three-component masks, the analysis low-pass.  A
+#: matmul, not an elementwise scaling: it turns ``-0.0`` into ``+0.0``.
+_DINV_T = inverse_dilation_matrix(2).T
+
 
 @dataclass(frozen=True)
 class FilterBank:
@@ -200,7 +204,7 @@ def factorization_pair(
 
 def _analysis_step(mask: LevelMask, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One periodic analysis step; ``c`` has even length at mask level + 1."""
-    coarse = c[0::2] @ inverse_dilation_matrix(mask.dim - 1).T
+    coarse = c[0::2] @ _DINV_T
     return coarse, c[1::2] - _predict(mask, coarse)
 
 
@@ -229,6 +233,8 @@ def analyze(
     the coarse signal and the detail signals ordered finest first.
     """
     _check_signals(spec, signal)
+    if levels < 0:
+        raise ValueError(f"transform depth must be >= 0, got {levels}")
     n = signal.level
     if n - levels < 0:
         raise ValueError(f"level underflow: entry level {n} with {levels} steps")

@@ -297,23 +297,11 @@ def even_part_dev(P: MatLaurent, target: np.ndarray) -> float:
     even tap vanishes.  The residual is reported on the scale of the
     identity (twice the tap deviation): the taps are DFT coefficients of
     equispaced unit-circle samples of the left side, so it never exceeds
-    the max residual over ``unit_circle_points(N)`` for ``N`` wider than
-    the support.
+    the max residual over ``N`` equispaced unit-circle points (the test
+    helper ``golden_data.unit_circle_points``) for ``N`` wider than the
+    support.
     """
     lo = min(P.lo, 0) - min(P.lo, 0) % 2
     even = P._window(lo, max(P.hi, 0))[::2]
     even[-lo // 2] -= target
     return 2.0 * float(np.max(np.abs(even)))
-
-
-def unit_circle_points(count: int, seed: int | None = None) -> np.ndarray:
-    """``count`` points on the unit circle.
-
-    Deterministic equispaced points when ``seed`` is None (offset to avoid
-    the trivial ``z = 1``), otherwise uniformly random phases.
-    """
-    if seed is None:
-        theta = 2 * np.pi * (np.arange(count) + 0.37) / count
-    else:
-        theta = np.random.default_rng(seed).uniform(0, 2 * np.pi, count)
-    return np.exp(1j * theta)

@@ -187,13 +187,6 @@ def sample_function(f, level: int, start: int, count: int, dim: int = 3) -> Herm
     return HermiteSignal(level, data, start)
 
 
-def norms(signal: HermiteSignal) -> tuple[float, float]:
-    """``(max-abs, sum-of-squares energy)`` of the signal entries."""
-    if signal.data.size == 0:
-        return 0.0, 0.0
-    return float(np.max(np.abs(signal.data))), float(np.sum(signal.data**2))
-
-
 # ----------------------------------------------------------------------
 # CSV I/O
 # ----------------------------------------------------------------------

@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .annihilator import SpaceSpec, dilation_matrix, inverse_dilation_matrix
+from .annihilator import SpaceSpec, dilation_matrix
 from .laurent import MatLaurent, even_part_dev
 from .signal import HermiteSignal, exponential, monomial, sample_function
 
@@ -145,13 +145,17 @@ def make_mask(spec: SpaceSpec, level: int) -> LevelMask:
             "mask derivation implements the (p=0, one frequency pair) family; "
             f"got p={spec.p}, lambda={spec.lam}"
         )
-    a1, am1 = _solve_mask_system(spec.frequency_at(level))
-    d = dilation_matrix(2)
-    return LevelMask(level, spec, MatLaurent.from_taps(3, {-1: am1, 0: d, 1: a1}))
+    return LevelMask(level, spec, _mask_symbol(spec.frequency_at(level)))
 
 
 @lru_cache(maxsize=256)
-def _solve_mask_system(mu: float) -> tuple[np.ndarray, np.ndarray]:
+def _mask_symbol(mu: float) -> MatLaurent:
+    """The mask symbol at scaled frequency ``mu``, solved and assembled once.
+
+    Every level and spec with the same ``mu`` shares the returned symbol;
+    its coefficients (and so its ``tap`` views) are read-only.  A failed
+    solve raises and is not cached.
+    """
     basis = _local_basis(mu)
     d = dilation_matrix(2)
     m = np.zeros((6, 6))
@@ -168,13 +172,11 @@ def _solve_mask_system(mu: float) -> tuple[np.ndarray, np.ndarray]:
             f"interpolation system ill conditioned at scaled frequency {mu}"
         )
     sol = np.linalg.solve(m, rhs)
-    a1 = sol[:3].T.copy()
-    am1 = sol[3:].T.copy()
+    a1 = sol[:3].T
+    am1 = sol[3:].T
     if np.max(np.abs(am1 - A_MINUS_1)) > 1e-11:
         raise AssertionError("derived mask violates the constant backward tap")
-    a1.setflags(write=False)
-    am1.setflags(write=False)
-    return a1, am1
+    return MatLaurent.from_taps(3, {-1: am1, 0: d, 1: a1})
 
 
 def interpolatory_residual(symbol: MatLaurent) -> float:
@@ -225,7 +227,9 @@ def _predict(mask: LevelMask, coarse: np.ndarray) -> np.ndarray:
     The one lifting step shared by periodic subdivision, analysis
     (``d = odd - prediction``) and synthesis (``odd = d + prediction``).
     """
-    return coarse @ mask.tap(1).T + np.roll(coarse, -1, axis=0) @ mask.tap(-1).T
+    # the wrapped copy (row k is c_{k+1}) enters one whole product: a wrap
+    # row computed on its own can differ in the last bit
+    return coarse @ mask.tap(1).T + np.concatenate((coarse[1:], coarse[:1])) @ mask.tap(-1).T
 
 
 def check_spectral_condition(
@@ -382,27 +386,3 @@ def compare_cascade_closed_form(
 ) -> dict[int, float]:
     """Max grid deviation between cascade and closed forms, per component."""
     return closed_form_deviation(spec, render_basic_limit(spec, depth, base_level), base_level)
-
-
-def check_refinement_equation(spec: SpaceSpec, level: int, depth: int) -> float:
-    """Max residual of the two-scale relation between consecutive levels:
-
-    ``F[n-1](x) = sum_k D^-1 F[n](2x - k) A[n-1]_k``  (n = ``level``),
-    with both sides rendered by cascade on a common dyadic grid.
-    """
-    coarse = render_basic_limit(spec, depth, base_level=level - 1)
-    fine = render_basic_limit(spec, depth, base_level=level)
-    mask = make_mask(spec, level - 1)
-    dinv = inverse_dilation_matrix(2)
-    half = 2**depth
-    fine_at = {int(round(g * half)): fine.values[t] for t, g in enumerate(fine.grid)}
-
-    def fmat(idx: int) -> np.ndarray:
-        return fine_at.get(idx, np.zeros((3, 3)))
-
-    res = 0.0
-    for t, x in enumerate(coarse.grid):
-        idx2 = int(round(2 * x * half))
-        rhs = sum(dinv @ fmat(idx2 - k * half) @ mask.tap(k) for k in (-1, 0, 1))
-        res = max(res, float(np.max(np.abs(coarse.values[t] - rhs))))
-    return res

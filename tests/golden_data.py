@@ -1,13 +1,19 @@
-"""Reference matrices for the stationary (frequency -> 0) quintic scheme.
+"""Reference data and reference implementations for the tests.
 
+The matrices are those of the stationary (frequency -> 0) quintic scheme.
 All entries are rational; symbols are given as tap maps ``{power: matrix}``.
 The high-pass reference is recorded in its conjugate display ``B~#(z)``
 (taps -2..0), which is how the reflected-index form is usually written.
+The functions are slower or older formulations that the package is
+measured against, and operators and checks only the tests use.
 """
 
 import numpy as np
 
-from hermwave.laurent import MatLaurent, unit_circle_points
+from hermwave.annihilator import Annihilator, SpaceSpec, inverse_dilation_matrix
+from hermwave.laurent import MatLaurent
+from hermwave.signal import HermiteSignal, sample_function
+from hermwave.subdivision import LevelMask, make_mask, render_basic_limit
 
 D = np.diag([1.0, 0.5, 0.25])
 
@@ -92,6 +98,19 @@ def max_tap_dev(symbol, taps: dict) -> float:
     )
 
 
+def unit_circle_points(count: int, seed: int | None = None) -> np.ndarray:
+    """``count`` points on the unit circle.
+
+    Deterministic equispaced points when ``seed`` is None (offset to avoid
+    the trivial ``z = 1``), otherwise uniformly random phases.
+    """
+    if seed is None:
+        theta = 2 * np.pi * (np.arange(count) + 0.37) / count
+    else:
+        theta = np.random.default_rng(seed).uniform(0, 2 * np.pi, count)
+    return np.exp(1j * theta)
+
+
 def sampled_identity_residual(factors, target, points: int = 64) -> float:
     """Sampled form of ``F(z) + F(-z) = 2 target``, ``F`` the product of ``factors``.
 
@@ -166,3 +185,73 @@ def vanishing_moments_loop(fb, f, halfwidth: float = 2.0) -> float:
             acc += mat.T @ v[2 * k + (t - t0)]
         res = max(res, float(np.max(np.abs(acc))))
     return res
+
+
+# ----------------------------------------------------------------------
+# operators and checks used only as test oracles
+# ----------------------------------------------------------------------
+
+def apply(ann: Annihilator, signal: HermiteSignal) -> HermiteSignal:
+    """Convolve the operator taps with a signal (periodic extension).
+
+    Output node ``j`` is ``v_{j+1} + H0 v_j``; exact samples of
+    ``V_{p,L}`` elements map to (numerically) zero.
+    """
+    if signal.level != ann.level:
+        raise ValueError(f"level mismatch: signal {signal.level} vs operator {ann.level}")
+    if signal.dim != ann.dim:
+        raise ValueError(f"dimension mismatch: signal {signal.dim} vs operator {ann.dim}")
+    h0 = ann.symbol.tap(0)
+    v = signal.data
+    out = np.roll(v, -1, axis=0) + v @ h0.T
+    return HermiteSignal(signal.level, out, signal.start)
+
+
+def apply_exact(ann: Annihilator, f, start: int, count: int) -> np.ndarray:
+    """Operator output on exact samples of ``f``, stencil fully in range.
+
+    Avoids the periodic wrap (which is wrong for non-periodic ``f``) by
+    sampling one extra node; returns the ``count`` valid output vectors.
+    """
+    sig = sample_function(f, ann.level, start, count + 1, ann.dim)
+    v = sig.data
+    return v[1:] + v[:-1] @ ann.symbol.tap(0).T
+
+
+def norms(signal: HermiteSignal) -> tuple[float, float]:
+    """``(max-abs, sum-of-squares energy)`` of the signal entries."""
+    if signal.data.size == 0:
+        return 0.0, 0.0
+    return float(np.max(np.abs(signal.data))), float(np.sum(signal.data**2))
+
+
+def check_refinement_equation(spec: SpaceSpec, level: int, depth: int) -> float:
+    """Max residual of the two-scale relation between consecutive levels:
+
+    ``F[n-1](x) = sum_k D^-1 F[n](2x - k) A[n-1]_k``  (n = ``level``),
+    with both sides rendered by cascade on a common dyadic grid.
+    """
+    coarse = render_basic_limit(spec, depth, base_level=level - 1)
+    fine = render_basic_limit(spec, depth, base_level=level)
+    mask = make_mask(spec, level - 1)
+    dinv = inverse_dilation_matrix(2)
+    half = 2**depth
+    fine_at = {int(round(g * half)): fine.values[t] for t, g in enumerate(fine.grid)}
+
+    def fmat(idx: int) -> np.ndarray:
+        return fine_at.get(idx, np.zeros((3, 3)))
+
+    res = 0.0
+    for t, x in enumerate(coarse.grid):
+        idx2 = int(round(2 * x * half))
+        rhs = sum(dinv @ fmat(idx2 - k * half) @ mask.tap(k) for k in (-1, 0, 1))
+        res = max(res, float(np.max(np.abs(coarse.values[t] - rhs))))
+    return res
+
+
+def predict_roll(mask: LevelMask, coarse: np.ndarray) -> np.ndarray:
+    """The periodic odd-node prediction with the wrap written as ``np.roll``.
+
+    The reference ``subdivision._predict`` must match byte for byte.
+    """
+    return coarse @ mask.tap(1).T + np.roll(coarse, -1, axis=0) @ mask.tap(-1).T

@@ -11,8 +11,6 @@ from hermwave.annihilator import (
     _cosh_m1,
     _sinhc,
     _x_m_sinh,
-    apply,
-    apply_exact,
     check_eigvec_condition,
     check_two_level_identity,
     make_annihilator,
@@ -22,7 +20,7 @@ from hermwave.annihilator import (
 from hermwave.laurent import max_coeff_dev
 from hermwave.signal import exponential, monomial, sample_function
 
-from golden_data import T_TAPS, max_tap_dev
+from golden_data import T_TAPS, apply, apply_exact, max_tap_dev
 
 
 # ----------------------------------------------------------------------

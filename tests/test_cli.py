@@ -220,6 +220,17 @@ def test_compress_rejects_nan_threshold(exp_signal, capsys):
     _clean_error(capsys, "threshold must be nonnegative")
 
 
+@pytest.mark.parametrize("command, depth", [("analyze", "-1"), ("compress", "-2")])
+def test_negative_depth_is_a_clean_error(exp_signal, capsys, command, depth):
+    assert main([command, "--depth", depth, "--input", str(exp_signal)]) == 2
+    _clean_error(capsys, f"transform depth must be >= 0, got {depth}")
+
+
+def test_verify_negative_level_is_a_clean_error(capsys):
+    assert main(["verify", "--level", "-1"]) == 2
+    _clean_error(capsys, "level must be >= 0, got -1")
+
+
 def test_render_matches_row_by_row_reference(tmp_path):
     out = tmp_path / "r.csv"
     assert main(["render", "--lambda", "4", "--level", "1", "--depth", "6", "--output", str(out)]) == 0

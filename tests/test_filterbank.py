@@ -267,6 +267,25 @@ def test_transform_error_contracts():
             compress(spec, HermiteSignal(5, np.zeros((64, 3))), 3, bad)
 
 
+@pytest.mark.parametrize("levels", [-1, -2])
+def test_negative_depth_is_rejected(levels):
+    spec = SpaceSpec(0, 2.0)
+    sig = HermiteSignal(4, np.ones((16, 3)))
+    with pytest.raises(ValueError, match=f"transform depth must be >= 0, got {levels}"):
+        analyze(spec, sig, levels)
+    with pytest.raises(ValueError, match=f"transform depth must be >= 0, got {levels}"):
+        compress(spec, sig, levels, 1e-8)
+
+
+def test_depth_zero_is_the_identity():
+    spec = SpaceSpec(0, 2.0)
+    sig = sample_function(hyperbolic_cosine(2.0), 4, 0, 16)
+    coarse, details = analyze(spec, sig, 0)
+    assert details == [] and coarse.level == 4
+    assert np.array_equal(coarse.data, sig.data)
+    assert np.array_equal(synthesize(spec, coarse, details).data, sig.data)
+
+
 def test_analyze_rejects_non_finite_signal():
     spec = SpaceSpec(0, 2.0)
     data = sample_function(hyperbolic_cosine(2.0), 4, 0, 16).data.copy()

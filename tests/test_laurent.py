@@ -12,7 +12,6 @@ from hermwave.laurent import (
     MatLaurent,
     even_part_dev,
     max_coeff_dev,
-    unit_circle_points,
 )
 
 from golden_data import (
@@ -27,6 +26,7 @@ from golden_data import (
     dict_upsample,
     max_tap_dev,
     sampled_identity_residual,
+    unit_circle_points,
 )
 
 

@@ -16,13 +16,14 @@ from hermwave.signal import (
     exponential,
     hyperbolic_cosine,
     monomial,
-    norms,
     read_signal,
     sample_function,
     sine,
     v_vector,
     write_signal,
 )
+
+from golden_data import norms
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,7 @@ from hermwave.annihilator import SpaceSpec, dilation_matrix
 from hermwave.signal import HermiteSignal, exponential, monomial, sample_function
 from hermwave.subdivision import (
     A_MINUS_1,
-    check_refinement_equation,
+    _predict,
     check_spectral_condition,
     closed_form_deviation,
     closed_form_phi,
@@ -21,7 +21,13 @@ from hermwave.subdivision import (
     subdivide_periodic,
 )
 
-from golden_data import A_TAPS, closed_form_phi_pointwise, max_tap_dev
+from golden_data import (
+    A_TAPS,
+    check_refinement_equation,
+    closed_form_phi_pointwise,
+    max_tap_dev,
+    predict_roll,
+)
 
 D = dilation_matrix(2)
 
@@ -68,6 +74,38 @@ def test_mask_level_rule_is_frequency_halving():
 def test_rejects_unsupported_spec():
     with pytest.raises(ValueError):
         make_mask(SpaceSpec(1, 1.0), 0)
+
+
+def test_masks_of_equal_scaled_frequency_share_one_symbol():
+    a = make_mask(SpaceSpec(0, 2.0), 1)
+    b = make_mask(SpaceSpec(0, 4.0), 2)
+    assert a.symbol is b.symbol
+    assert (a.level, b.level) == (1, 2)
+    assert make_mask(SpaceSpec(0, 2.0), 0).symbol is not a.symbol
+
+
+def test_mask_keeps_the_callers_spec():
+    as_int, as_float = SpaceSpec(0, 2), SpaceSpec(0, 2.0)
+    a, b = make_mask(as_int, 0), make_mask(as_float, 0)
+    assert a.symbol is b.symbol
+    assert a.spec is as_int and type(a.spec.lam) is int
+    assert b.spec is as_float and type(b.spec.lam) is float
+
+
+def test_cached_symbol_is_read_only():
+    m = make_mask(SpaceSpec(0, 2.0), 0)
+    with pytest.raises(ValueError, match="read-only"):
+        m.symbol.coeffs[0, 0, 0] = 1.0
+    for k in (-1, 0, 1):
+        with pytest.raises(ValueError, match="read-only"):
+            m.tap(k)[0, 0] = 1.0
+    assert np.array_equal(make_mask(SpaceSpec(0, 2.0), 0).tap(-1), A_MINUS_1)
+
+
+def test_failed_mask_derivation_is_not_cached():
+    for _ in range(2):
+        with pytest.raises(ValueError, match="scaled frequency 1000.0"):
+            make_mask(SpaceSpec(0, 1000.0), 0)
     with pytest.raises(ValueError):
         make_mask(SpaceSpec(0, None), 0)
 
@@ -126,6 +164,21 @@ def test_polynomials_not_reproduced():
     assert report["1"] == 0.0
     for name in ("x", "x^2", "x^3"):
         assert report[name] > 1e-5
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5, 2.0, 4.0, 8.0])
+@pytest.mark.parametrize("nodes", [1, 2, 3, 4, 8, 1024])
+def test_predict_is_bit_identical_to_roll_formula(lam, nodes):
+    # a wrap row computed by its own product differs in the last bit on
+    # some of these inputs, so they guard the operand layout of _predict
+    rng = np.random.default_rng(nodes)
+    for scale in ([1.0, 1.0, 1.0], [1.0, 1e3, 1e6]):
+        for _ in range(8):
+            coarse = rng.uniform(-1.0, 1.0, (nodes, 3)) * scale
+            for level in (0, 3):
+                mask = make_mask(SpaceSpec(0, lam), level)
+                got = _predict(mask, coarse).view(np.int64)
+                assert np.array_equal(got, predict_roll(mask, coarse).view(np.int64))
 
 
 def test_subdivide_contracts():
