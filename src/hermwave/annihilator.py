@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .laurent import MatLaurent, max_coeff_dev
+from .signal import monomial
 
 #: Below this scaled frequency the constructor returns the Taylor operator.
 TAYLOR_FALLBACK_MU = 1e-8
@@ -99,12 +100,6 @@ class Annihilator:
     def dim(self) -> int:
         return self.symbol.dim
 
-    def to_json_dict(self) -> dict:
-        d = self.symbol.to_json_dict()
-        d["level"] = self.level
-        d["spec"] = {"p": self.spec.p, "lambda": self.spec.lam}
-        return d
-
 
 def make_taylor(d: int) -> MatLaurent:
     """Symbol of the complete Taylor operator of order ``d``.
@@ -121,19 +116,49 @@ def make_taylor(d: int) -> MatLaurent:
     return MatLaurent.from_taps(d + 1, {-1: np.eye(d + 1), 0: h0})
 
 
-def _sinhc(mu: float) -> float:
-    """``sinh(mu)/mu``, stable for small ``mu``."""
-    if mu < 1e-8:
-        return 1.0 + mu * mu / 6.0
-    return math.sinh(mu) / mu
+def _local_basis(mu: float, sinh=math.sinh, cosh=math.cosh):
+    """The six local basis functions on [0, 1] with two derivatives each.
+
+    Returns callables ``f(t, j)``.  The hyperbolic pair is taken in the
+    cancellation-free combinations ``sinh(mu t)/mu`` and
+    ``(cosh(mu t) - 1)/mu^2`` (same span), whose ``mu -> 0`` limits are
+    ``t`` and ``t^2/2``; this keeps the interpolation system uniformly
+    well conditioned down to the stationary case.
+
+    ``t`` is a float for the ``math`` pair (the mask and piece solves at
+    ``t`` in ``{0, 1/2, 1}``) or an array for ``np.sinh``/``np.cosh``
+    (whole grids).  The two pairs may differ in the last bit, so the
+    solves keep ``math``.
+    """
+
+    def sinh_scaled(t, j):
+        if mu == 0.0:
+            return (t, 1.0, 0.0)[j]
+        if j == 1:
+            return cosh(mu * t)
+        return sinh(mu * t) / mu if j == 0 else mu * sinh(mu * t)
+
+    def cosh_scaled(t, j):
+        if mu == 0.0:
+            return (t * t / 2.0, t, 1.0)[j]
+        if j == 0:
+            s = sinh(mu * t / 2.0)
+            return 2.0 * s * s / (mu * mu)
+        return sinh_scaled(t, j - 1)
+
+    return [
+        lambda t, j: (1.0, 0.0, 0.0)[j] if j <= 2 else 0.0,
+        monomial(3),
+        monomial(4),
+        monomial(5),
+        sinh_scaled,
+        cosh_scaled,
+    ]
 
 
-def _cosh_m1(mu: float) -> float:
-    """``(1 - cosh(mu))/mu^2`` via ``-2 sinh(mu/2)^2 / mu^2`` (cancellation-free)."""
-    if mu < 1e-8:
-        return -0.5 - mu * mu / 24.0
-    s = math.sinh(mu / 2.0)
-    return -2.0 * s * s / (mu * mu)
+def _derivs(f, t: float) -> np.ndarray:
+    return np.array([f(t, j) for j in range(3)])
+
 
 def _x_m_sinh(mu: float) -> float:
     """``(mu - sinh(mu))/mu^3``: series below :data:`SERIES_MU`, direct above."""
@@ -149,19 +174,15 @@ def _x_m_sinh(mu: float) -> float:
 
 def _h0_matrix(p: int, mu: float) -> np.ndarray:
     """Constant tap of the cancellation-operator symbol at scaled frequency mu."""
-    c, s = math.cosh(mu), math.sinh(mu)
-    core = np.array(
-        [
-            [-1.0, -_sinhc(mu), _cosh_m1(mu)],
-            [0.0, -c, -_sinhc(mu)],
-            [0.0, -mu * s, -c],
-        ]
-    )
+    basis = _local_basis(mu)
+    # p = 0: minus the t = 1 Hermite data of {1, sinh(mu t)/mu, (cosh(mu t) - 1)/mu^2},
+    # one function per column (0.0 - x rather than -x keeps the zero entries +0.0)
+    core = 0.0 - np.column_stack([_derivs(basis[i], 1.0) for i in (0, 4, 5)])
     if p == 0:
         return core
     # p = 1: Taylor row on top, the p = 0 block lower-right.
     h0 = np.zeros((4, 4))
-    h0[0] = [-1.0, -1.0, _cosh_m1(mu), _x_m_sinh(mu)]
+    h0[0] = [-1.0, -1.0, core[0, 2], _x_m_sinh(mu)]
     h0[1:, 1:] = core
     return h0
 

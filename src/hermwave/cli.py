@@ -1,13 +1,16 @@
 """Command-line front end: construction, verification, transform, rendering.
 
 Subcommands: ``filters``, ``verify``, ``analyze``, ``synthesize``,
-``render``, ``compress``.  Every run prints the resolved configuration;
-set ``HERMWAVE_LOG`` (debug/info/warning) for verbosity.
+``render``, ``compress``.  Each takes only the options it reads (see
+:func:`_build_parser`); the space is always ``V_{0,L}``, so ``--lambda``
+and the level select the bank.  Every run prints the resolved
+configuration; set ``HERMWAVE_LOG`` (debug/info/warning) for verbosity.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -26,18 +29,21 @@ log = logging.getLogger("hermwave")
 
 
 def _spec_from(args) -> SpaceSpec:
-    return SpaceSpec(args.p, args.lam)
+    return SpaceSpec(0, args.lam)
+
+
+def _write(text: str, output: str | None) -> None:
+    """Write ``text`` to the file ``output``, or to the current stdout."""
+    with open(output, "w") if output else contextlib.nullcontext(sys.stdout) as fh:
+        fh.write(text)
+    if output:
+        log.info("wrote %s", output)
 
 
 def _emit(payload: dict, output: str | None, compact: bool = False) -> None:
     # compact output runs json's C encoder; its indenting encoder is pure Python
     text = json.dumps(payload, separators=(",", ":")) if compact else json.dumps(payload, indent=2)
-    if output:
-        with open(output, "w") as fh:
-            fh.write(text + "\n")
-        log.info("wrote %s", output)
-    else:
-        print(text)
+    _write(text + "\n", output)
 
 
 # ----------------------------------------------------------------------
@@ -75,6 +81,7 @@ def _verify_report(spec: SpaceSpec, levels: range, seed: int, perturb: float, to
     lam = spec.lam or 0.0
     space = {"1": sig_mod.monomial(0), "exp+": sig_mod.exponential(lam),
              "exp-": sig_mod.exponential(-lam)}
+    ann_n1 = annihilator.make_annihilator(spec, levels[0])
     for n in levels:
         mask = subdivision.make_mask(spec, n)
         bank = filterbank.build(mask)
@@ -88,8 +95,8 @@ def _verify_report(spec: SpaceSpec, levels: range, seed: int, perturb: float, to
             )
         spectral = subdivision.check_spectral_condition(spec, n, 2, functions=space)
         add(f"spectral_exponential[n={n}]", max(spectral.values()), 1e-9)
-        ann_n = annihilator.make_annihilator(spec, n)
-        ann_n1 = annihilator.make_annihilator(spec, n + 1)
+        # the previous level's H[n+1] is this level's H[n]
+        ann_n, ann_n1 = ann_n1, annihilator.make_annihilator(spec, n + 1)
         try:
             pair = filterbank.factorization_pair(bank, ann_n, ann_n1)
             add(f"factorization_R[n={n}]", pair.residual_R, 1e-10)
@@ -124,10 +131,10 @@ def _verify_report(spec: SpaceSpec, levels: range, seed: int, perturb: float, to
 
 
 def cmd_verify(args) -> int:
-    if args.level is not None and args.level < 0:
+    if args.level < 0:
         raise ValueError(f"level must be >= 0, got {args.level}")
     spec = _spec_from(args)
-    levels = range(0, (args.level if args.level is not None else 4) + 1)
+    levels = range(0, args.level + 1)
     checks = _verify_report(spec, levels, args.seed, args.perturb, args.tolerance)
     report = {
         name: {"residual": res, "tolerance": tol, "pass": res <= tol}
@@ -177,12 +184,7 @@ def cmd_render(args) -> int:
             + "\n"
         )
         print("closed-form deviation:", {f"phi{j}": devs[j] for j in range(3)})
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-        log.info("wrote %s", args.output)
-    else:
-        print(text, end="")
+    _write(text, args.output)
     return 0
 
 
@@ -216,52 +218,43 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, level_default=0):
-        p.add_argument("--p", type=int, default=0, help="polynomial degree of the space")
-        p.add_argument("--lambda", dest="lam", type=float, default=2.0,
-                       help="exponential frequency (0 = stationary limit)")
-        p.add_argument("--level", type=int, default=level_default, help="scale level n")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
-        p.add_argument("--tolerance", type=float, default=None,
-                       help="override per-identity tolerances")
-        p.add_argument("--output", default=None, help="output path (default stdout)")
+    def command(name, func, help, *options):
+        p = sub.add_parser(name, help=help)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
 
-    p = sub.add_parser("filters", help="emit mask and filter-bank symbols as JSON")
-    common(p)
-    p.add_argument("--taylor", action="store_true", help="emit the Taylor operator instead")
-    p.add_argument("--d", type=int, default=2, help="order for --taylor")
-    p.set_defaults(func=cmd_filters)
+    lam = ("--lambda", dict(dest="lam", type=float, default=2.0,
+                            help="exponential frequency (0 = stationary limit)"))
+    level = ("--level", dict(type=int, default=0, help="scale level n"))
+    output = ("--output", dict(default=None, help="output path (default stdout)"))
+    signal = ("--input", dict(required=True, help="input signal CSV"))
+    transform_depth = ("--depth", dict(type=int, default=3, help="number of transform levels L"))
 
-    p = sub.add_parser("verify", help="run the identity verification suite")
-    common(p, level_default=None)
-    p.add_argument("--perturb", type=float, default=0.0,
-                   help="perturb a mask tap to prove detector sensitivity")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("analyze", help="multilevel analysis of a Hermite signal")
-    common(p)
-    p.add_argument("--depth", type=int, default=3, help="number of transform levels L")
-    p.add_argument("--input", required=True, help="input signal CSV")
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("synthesize", help="invert a transform coefficient file")
-    common(p)
-    p.add_argument("--input", required=True, help="transform JSON file")
-    p.set_defaults(func=cmd_synthesize)
-
-    p = sub.add_parser("render", help="render the limit functions as CSV")
-    common(p)
-    p.add_argument("--depth", type=int, default=7, help="dyadic rendering depth m")
-    p.add_argument("--compare-closed-form", action="store_true",
-                   help="append closed-form deviation footer")
-    p.set_defaults(func=cmd_render)
-
-    p = sub.add_parser("compress", help="threshold compression demo")
-    common(p)
-    p.add_argument("--depth", type=int, default=3, help="number of transform levels L")
-    p.add_argument("--threshold", type=float, default=1e-8, help="detail threshold")
-    p.add_argument("--input", required=True, help="input signal CSV")
-    p.set_defaults(func=cmd_compress)
+    command("filters", cmd_filters, "emit mask and filter-bank symbols as JSON",
+            lam, level, output,
+            ("--taylor", dict(action="store_true", help="emit the Taylor operator instead")),
+            ("--d", dict(type=int, default=2, help="order for --taylor")))
+    command("verify", cmd_verify, "run the identity verification suite",
+            lam, ("--level", dict(type=int, default=4, help="check levels 0..n")),
+            ("--seed", dict(type=int, default=0, help="seed for the reconstruction check")),
+            ("--tolerance", dict(type=float, default=None, help="override per-identity tolerances")),
+            ("--perturb", dict(type=float, default=0.0,
+                               help="perturb a mask tap to prove detector sensitivity")),
+            output)
+    command("analyze", cmd_analyze, "multilevel analysis of a Hermite signal",
+            lam, transform_depth, signal, output)
+    command("synthesize", cmd_synthesize, "invert a transform coefficient file",
+            ("--input", dict(required=True, help="transform JSON file")), output)
+    command("render", cmd_render, "render the limit functions as CSV",
+            lam, level, ("--depth", dict(type=int, default=7, help="dyadic rendering depth m")),
+            ("--compare-closed-form", dict(action="store_true",
+                                           help="append closed-form deviation footer")),
+            output)
+    command("compress", cmd_compress, "threshold compression demo",
+            lam, transform_depth,
+            ("--threshold", dict(type=float, default=1e-8, help="detail threshold")),
+            signal, output)
     return parser
 
 

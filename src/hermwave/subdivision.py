@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .annihilator import SpaceSpec, dilation_matrix
+from .annihilator import SpaceSpec, _derivs, _local_basis, dilation_matrix
 from .laurent import MatLaurent, even_part_dev
 from .signal import HermiteSignal, exponential, monomial, sample_function
 
@@ -77,50 +77,6 @@ class LimitFunctionTable:
         return self.values[:, derivative, j]
 
 
-def _local_basis(mu: float, sinh=math.sinh, cosh=math.cosh):
-    """The six local basis functions on [0, 1] with two derivatives each.
-
-    Returns callables ``f(t, j)``.  The hyperbolic pair is taken in the
-    cancellation-free combinations ``sinh(mu t)/mu`` and
-    ``(cosh(mu t) - 1)/mu^2`` (same span), whose ``mu -> 0`` limits are
-    ``t`` and ``t^2/2``; this keeps the interpolation system uniformly
-    well conditioned down to the stationary case.
-
-    ``t`` is a float for the ``math`` pair (the mask and piece solves at
-    ``t`` in ``{0, 1/2, 1}``) or an array for ``np.sinh``/``np.cosh``
-    (whole grids).  The two pairs may differ in the last bit, so the
-    solves keep ``math``.
-    """
-
-    def sinh_scaled(t, j):
-        if mu == 0.0:
-            return (t, 1.0, 0.0)[j]
-        if j == 1:
-            return cosh(mu * t)
-        return sinh(mu * t) / mu if j == 0 else mu * sinh(mu * t)
-
-    def cosh_scaled(t, j):
-        if mu == 0.0:
-            return (t * t / 2.0, t, 1.0)[j]
-        if j == 0:
-            s = sinh(mu * t / 2.0)
-            return 2.0 * s * s / (mu * mu)
-        return sinh_scaled(t, j - 1)
-
-    return [
-        lambda t, j: (1.0, 0.0, 0.0)[j] if j <= 2 else 0.0,
-        monomial(3),
-        monomial(4),
-        monomial(5),
-        sinh_scaled,
-        cosh_scaled,
-    ]
-
-
-def _derivs(f, t: float) -> np.ndarray:
-    return np.array([f(t, j) for j in range(3)])
-
-
 def make_mask(spec: SpaceSpec, level: int) -> LevelMask:
     """Derive the level-``level`` mask from midpoint Hermite interpolation.
 
@@ -135,8 +91,8 @@ def make_mask(spec: SpaceSpec, level: int) -> LevelMask:
     Raises
     ------
     ValueError
-        If the spec is outside the implemented family or the
-        interpolation system is ill conditioned.
+        If the level is negative, the spec is outside the implemented
+        family or the interpolation system is ill conditioned.
     AssertionError
         If the solved backward tap misses :data:`A_MINUS_1`.
     """
@@ -145,7 +101,13 @@ def make_mask(spec: SpaceSpec, level: int) -> LevelMask:
             "mask derivation implements the (p=0, one frequency pair) family; "
             f"got p={spec.p}, lambda={spec.lam}"
         )
+    _check_level(level)
     return LevelMask(level, spec, _mask_symbol(spec.frequency_at(level)))
+
+
+def _check_level(level: int) -> None:
+    if level < 0:
+        raise ValueError(f"level must be >= 0, got {level}")
 
 
 @lru_cache(maxsize=256)
@@ -246,6 +208,7 @@ def check_spectral_condition(
     at ``level + depth`` on the region unaffected by the finite window.
     Returns ``{name: max deviation}``.
     """
+    _check_level(level)
     if functions is None:
         lam = spec.lam if spec.lam else 1.0
         functions = {

@@ -8,9 +8,11 @@ The functions are slower or older formulations that the package is
 measured against, and operators and checks only the tests use.
 """
 
+import math
+
 import numpy as np
 
-from hermwave.annihilator import Annihilator, SpaceSpec, inverse_dilation_matrix
+from hermwave.annihilator import Annihilator, SpaceSpec, _x_m_sinh, inverse_dilation_matrix
 from hermwave.laurent import MatLaurent
 from hermwave.signal import HermiteSignal, sample_function
 from hermwave.subdivision import LevelMask, make_mask, render_basic_limit
@@ -153,8 +155,9 @@ def closed_form_phi_pointwise(spec, j: int, x: float, level: int = 0, derivative
     against: the local basis with ``math.sinh``/``math.cosh`` at a single
     float ``x``, summed coefficient by coefficient.
     """
+    from hermwave.annihilator import _local_basis
     from hermwave.signal import monomial
-    from hermwave.subdivision import _local_basis, _piece_coeffs
+    from hermwave.subdivision import _piece_coeffs
 
     if not -1.0 <= x <= 1.0:
         return 0.0
@@ -255,3 +258,40 @@ def predict_roll(mask: LevelMask, coarse: np.ndarray) -> np.ndarray:
     The reference ``subdivision._predict`` must match byte for byte.
     """
     return coarse @ mask.tap(1).T + np.roll(coarse, -1, axis=0) @ mask.tap(-1).T
+
+
+def sinhc(mu: float) -> float:
+    """``sinh(mu)/mu``, stable for small ``mu``."""
+    if mu < 1e-8:
+        return 1.0 + mu * mu / 6.0
+    return math.sinh(mu) / mu
+
+
+def cosh_m1(mu: float) -> float:
+    """``(1 - cosh(mu))/mu^2`` via ``-2 sinh(mu/2)^2 / mu^2`` (cancellation-free)."""
+    if mu < 1e-8:
+        return -0.5 - mu * mu / 24.0
+    s = math.sinh(mu / 2.0)
+    return -2.0 * s * s / (mu * mu)
+
+
+def h0_matrix_entry_formulas(p: int, mu: float) -> np.ndarray:
+    """The cancellation operator's constant tap, entry by entry.
+
+    The reference ``annihilator._h0_matrix``, which reads the entries off
+    the local basis, must match bit for bit.
+    """
+    c, s = math.cosh(mu), math.sinh(mu)
+    core = np.array(
+        [
+            [-1.0, -sinhc(mu), cosh_m1(mu)],
+            [0.0, -c, -sinhc(mu)],
+            [0.0, -mu * s, -c],
+        ]
+    )
+    if p == 0:
+        return core
+    h0 = np.zeros((4, 4))
+    h0[0] = [-1.0, -1.0, cosh_m1(mu), _x_m_sinh(mu)]
+    h0[1:, 1:] = core
+    return h0

@@ -8,9 +8,7 @@ import pytest
 
 from hermwave.annihilator import (
     SpaceSpec,
-    _cosh_m1,
-    _sinhc,
-    _x_m_sinh,
+    _h0_matrix,
     check_eigvec_condition,
     check_two_level_identity,
     make_annihilator,
@@ -20,7 +18,7 @@ from hermwave.annihilator import (
 from hermwave.laurent import max_coeff_dev
 from hermwave.signal import exponential, monomial, sample_function
 
-from golden_data import T_TAPS, apply, apply_exact, max_tap_dev
+from golden_data import T_TAPS, apply, apply_exact, h0_matrix_entry_formulas, max_tap_dev
 
 
 # ----------------------------------------------------------------------
@@ -97,9 +95,19 @@ def test_stable_entry_formulas_against_mpmath():
     mp.mp.dps = 60
     for mu in (1e-7, 1e-4, 1e-2, 0.3, 0.7, 2.0):
         m = mp.mpf(mu)
-        assert _sinhc(mu) == pytest.approx(float(mp.sinh(m) / m), rel=1e-14)
-        assert _cosh_m1(mu) == pytest.approx(float((1 - mp.cosh(m)) / m**2), rel=1e-13)
-        assert _x_m_sinh(mu) == pytest.approx(float((m - mp.sinh(m)) / m**3), rel=1e-13)
+        h0 = _h0_matrix(1, mu)
+        sinhc, cosh_m1, x_m_sinh = -h0[1, 2], h0[1, 3], h0[0, 3]
+        assert sinhc == pytest.approx(float(mp.sinh(m) / m), rel=1e-14)
+        assert cosh_m1 == pytest.approx(float((1 - mp.cosh(m)) / m**2), rel=1e-13)
+        assert x_m_sinh == pytest.approx(float((m - mp.sinh(m)) / m**3), rel=1e-13)
+
+
+@pytest.mark.parametrize("p", [0, 1])
+def test_h0_matrix_bit_equal_to_entry_formulas(p):
+    mus = list(np.geomspace(1e-8, 40.0, 4000))
+    mus += [2.0**-n * lam for lam in (0.5, 1.0, 2.0, 4.0, 8.0) for n in range(25)]
+    for mu in mus:
+        assert _h0_matrix(p, mu).tobytes() == h0_matrix_entry_formulas(p, mu).tobytes(), mu
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """End-to-end exercises of the command-line front end."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -33,12 +34,74 @@ def exp_signal(tmp_path):
 
 def test_filters_emits_mask(tmp_path, capsys):
     out = tmp_path / "f.json"
-    assert main(["filters", "--p", "0", "--lambda", "2", "--level", "0", "--output", str(out)]) == 0
+    assert main(["filters", "--lambda", "2", "--level", "0", "--output", str(out)]) == 0
     payload = json.loads(out.read_text())
     tap_m1 = next(t for t in payload["mask"]["taps"] if t["k"] == -1)
     assert np.allclose(np.reshape(tap_m1["matrix"], (3, 3)), A_TAPS[-1], atol=1e-12)
     assert "A_tilde" in payload and "B_tilde" in payload
     assert "interpolatory residual" in capsys.readouterr().out
+
+
+#: The options each subcommand reads; nothing else is accepted.
+SUBCOMMAND_OPTIONS = {
+    "filters": {"--lambda", "--level", "--output", "--taylor", "--d"},
+    "verify": {"--lambda", "--level", "--seed", "--tolerance", "--perturb", "--output"},
+    "analyze": {"--lambda", "--depth", "--input", "--output"},
+    "synthesize": {"--input", "--output"},
+    "render": {"--lambda", "--level", "--depth", "--compare-closed-form", "--output"},
+    "compress": {"--lambda", "--depth", "--threshold", "--input", "--output"},
+}
+
+
+def _subparsers() -> dict:
+    (action,) = [a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_each_subcommand_takes_only_the_options_it_reads():
+    options = {
+        name: {s for a in p._actions if "-h" not in a.option_strings for s in a.option_strings}
+        for name, p in _subparsers().items()
+    }
+    assert options == SUBCOMMAND_OPTIONS
+    assert sum(len(o) for o in options.values()) == 27
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--level", "3", "--input", "sig.csv"],
+        ["synthesize", "--lambda", "4", "--input", "coef.json"],
+        ["filters", "--seed", "1"],
+        ["render", "--tolerance", "0"],
+        ["compress", "--p", "0", "--input", "sig.csv"],
+    ],
+)
+def test_option_a_subcommand_does_not_read_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# The argv shapes the benchmark (perfbench/workloads.py) sends, copied here so
+# that a parser change that would fail its operations fails a test first.
+BENCHMARK_ARGV = [
+    ["analyze", "--lambda", "2.0", "--depth", "8", "--input", "s.csv", "--output", "c.json"],
+    ["synthesize", "--input", "c.json", "--output", "r.csv"],
+    ["synthesize", "--input", "c.json"],
+    ["compress", "--lambda", "2.0", "--depth", "8", "--threshold", "1e-08", "--input", "s.csv"],
+    ["filters", "--lambda", "0.5", "--level", "4", "--output", "bank.json"],
+    ["verify", "--lambda", "8", "--level", "4", "--seed", "701", "--output", "verify.json"],
+    ["render", "--lambda", "8", "--depth", "10", "--compare-closed-form", "--output", "phi.csv"],
+    ["verify", "--lambda", "2", "--perturb", "1e-3", "--seed", "701", "--output", "verify.json"],
+]
+
+
+@pytest.mark.parametrize("argv", BENCHMARK_ARGV, ids=lambda argv: " ".join(argv[:5]))
+def test_parser_accepts_every_benchmark_argv(argv):
+    args = cli._build_parser().parse_args(argv)
+    assert args.command == argv[0]
 
 
 def test_consecutive_calls_match_fresh_processes(capsys):
@@ -229,6 +292,14 @@ def test_negative_depth_is_a_clean_error(exp_signal, capsys, command, depth):
 def test_verify_negative_level_is_a_clean_error(capsys):
     assert main(["verify", "--level", "-1"]) == 2
     _clean_error(capsys, "level must be >= 0, got -1")
+
+
+@pytest.mark.parametrize("command, level", [("filters", "-1"), ("render", "-2")])
+def test_negative_level_is_a_clean_error(tmp_path, capsys, command, level):
+    out = tmp_path / "out"
+    assert main([command, "--level", level, "--output", str(out)]) == 2
+    _clean_error(capsys, f"level must be >= 0, got {level}")
+    assert not out.exists()
 
 
 def test_render_matches_row_by_row_reference(tmp_path):

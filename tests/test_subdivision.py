@@ -76,6 +76,14 @@ def test_rejects_unsupported_spec():
         make_mask(SpaceSpec(1, 1.0), 0)
 
 
+def test_rejects_negative_level():
+    # a negative level would scale the frequency up, outside the family's levels
+    with pytest.raises(ValueError, match=r"^level must be >= 0, got -1$"):
+        make_mask(SpaceSpec(0, 2.0), -1)
+    with pytest.raises(ValueError, match=r"^level must be >= 0, got -2$"):
+        check_spectral_condition(SpaceSpec(0, 2.0), -2, 0)
+
+
 def test_masks_of_equal_scaled_frequency_share_one_symbol():
     a = make_mask(SpaceSpec(0, 2.0), 1)
     b = make_mask(SpaceSpec(0, 4.0), 2)
