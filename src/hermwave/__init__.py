@@ -40,7 +40,6 @@ from .laurent import (
     max_coeff_dev,
 )
 from .signal import (
-    DetailSignal,
     HermiteSignal,
     SignalFormatError,
     exponential,

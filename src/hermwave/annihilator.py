@@ -9,6 +9,10 @@ samples of every element of ``V_{p,L}`` at level ``n``.  Its symbol has
 the two-tap form ``z^-1 I + H0`` and reduces entrywise to the complete
 Taylor operator as the scaled frequency ``mu = 2^-n lam`` tends to 0.
 
+The one evaluation of the local Hermite data (:func:`_hermite_data`)
+lives here: ``H0``, the subdivision mask and the closed-form pieces are
+all read off it.
+
 Only ``p in {0, 1}`` with a single real frequency pair is implemented;
 larger ``p`` with exponentials fails loudly rather than approximating.
 """
@@ -156,8 +160,18 @@ def _local_basis(mu: float, sinh=math.sinh, cosh=math.cosh):
     ]
 
 
-def _derivs(f, t: float) -> np.ndarray:
-    return np.array([f(t, j) for j in range(3)])
+def _hermite_data(mu: float, t: float) -> np.ndarray:
+    """The 6x3 array whose row ``r`` is ``(f, f', f'')`` at ``t`` of basis function ``r``.
+
+    Raises ``ValueError`` if an entry overflows at ``mu``.
+    """
+    try:
+        data = np.array([[f(t, j) for j in range(3)] for f in _local_basis(mu)])
+    except OverflowError:  # raised by math.sinh/cosh; a float product past the range is inf
+        data = np.full((6, 3), np.inf)
+    if not np.isfinite(data).all():
+        raise ValueError(f"local basis overflows at scaled frequency {mu}")
+    return data
 
 
 def _x_m_sinh(mu: float) -> float:
@@ -174,10 +188,9 @@ def _x_m_sinh(mu: float) -> float:
 
 def _h0_matrix(p: int, mu: float) -> np.ndarray:
     """Constant tap of the cancellation-operator symbol at scaled frequency mu."""
-    basis = _local_basis(mu)
     # p = 0: minus the t = 1 Hermite data of {1, sinh(mu t)/mu, (cosh(mu t) - 1)/mu^2},
     # one function per column (0.0 - x rather than -x keeps the zero entries +0.0)
-    core = 0.0 - np.column_stack([_derivs(basis[i], 1.0) for i in (0, 4, 5)])
+    core = 0.0 - _hermite_data(mu, 1.0)[[0, 4, 5]].T
     if p == 0:
         return core
     # p = 1: Taylor row on top, the p = 0 block lower-right.
@@ -229,15 +242,17 @@ def check_eigvec_condition(ann: Annihilator) -> float:
     return res
 
 
-def check_two_level_identity(spec: SpaceSpec, level: int) -> float:
+def check_two_level_identity(ann_n: Annihilator, ann_n1: Annihilator) -> float:
     """Max coefficient residual of the two-level symbol identity
 
-    ``H[n](z^2) D^-1 = -D^-1 H[n+1](-z) H[n+1](z)``.
+    ``H[n](z^2) D^-1 = -D^-1 H[n+1](-z) H[n+1](z)`` of ``H[n] = ann_n``
+    and ``H[n+1] = ann_n1``.
     """
-    d = spec.d
+    if ann_n1.level != ann_n.level + 1:
+        raise ValueError(f"operator levels ({ann_n.level}, {ann_n1.level}) must be n, n + 1")
+    d = ann_n.dim - 1
     dinv = MatLaurent.from_taps(d + 1, {0: inverse_dilation_matrix(d)})
-    h_n = make_annihilator(spec, level).symbol
-    h_n1 = make_annihilator(spec, level + 1).symbol
+    h_n, h_n1 = ann_n.symbol, ann_n1.symbol
     lhs = h_n.upsample().mul(dinv)
     rhs = dinv.mul(h_n1.negate_arg().mul(h_n1)).scale(-1.0)
     return max_coeff_dev(lhs, rhs)

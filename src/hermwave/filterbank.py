@@ -21,6 +21,8 @@ Two factorizations through the cancellation operator are provided:
 both computed by coefficient-matching division, with the closed inverse-
 conjugation formula for ``S`` available as a coefficient cross-check.
 All identities are checked on exact coefficients, never at sample points.
+The periodic transform's coarse data and details are ``HermiteSignal``s
+from node 0; synthesis is periodic refinement plus the odd-node details.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ import numpy as np
 
 from .annihilator import Annihilator, SpaceSpec, inverse_dilation_matrix
 from .laurent import MatLaurent, even_part_dev, max_coeff_dev
-from .signal import DetailSignal, HermiteSignal, sample_function
-from .subdivision import LevelMask, _predict, interpolatory_residual, make_mask
+from .signal import HermiteSignal, sample_function
+from .subdivision import LevelMask, _check_family, _predict, _refine, interpolatory_residual, make_mask
 
 #: Residual bound for accepting a bank as biorthogonal.
 BIORTHO_TOL = 1e-12
@@ -124,16 +126,16 @@ def check_biorthogonality(fb: FilterBank) -> float:
     return max(even_part_dev(p.involution().mul(q), target) for p, q, target in pairs)
 
 
-def check_vanishing_moments(fb: FilterBank, f, halfwidth: float = 2.0) -> float:
+def check_vanishing_moments(fb: FilterBank, f) -> float:
     """Max detail magnitude of the analysis high-pass on exact samples.
 
     ``f(x, j)`` is sampled exactly at level ``fb.level + 1`` over
-    ``|x| <= halfwidth`` and convolved with the high-pass taps on the
+    ``|x| <= 2`` and convolved with the high-pass taps on the
     stencil-complete region (no periodic wrap, which would be wrong for
     non-periodic ``f``); for ``f`` in ``V_{0,L}`` the result vanishes.
     """
     n1 = fb.level + 1
-    m = max(2, math.ceil(halfwidth * 2**n1))
+    m = max(2, math.ceil(2.0 * 2**n1))
     v = sample_function(f, n1, -m, 2 * m + 1, dim=fb.dim).data
     taps = sorted(fb.B_tilde.taps().items())
     t0 = taps[0][0]
@@ -146,23 +148,18 @@ def check_vanishing_moments(fb: FilterBank, f, halfwidth: float = 2.0) -> float:
     return float(np.max(np.abs(acc)))
 
 
-def compute_R(
-    fb: FilterBank, ann_n: Annihilator, ann_n1: Annihilator, tol: float = 1e-10
-) -> MatLaurent:
+def compute_R(fb: FilterBank, ann_n: Annihilator, ann_n1: Annihilator) -> MatLaurent:
     """Quotient of ``H[n+1](z) A[n](z) = R[n](z) H[n](z^2)``; ``A`` is ``fb.A``."""
     if ann_n.level != fb.level or ann_n1.level != fb.level + 1:
         raise ValueError(
             f"operator levels ({ann_n.level}, {ann_n1.level}) must bracket "
             f"bank level {fb.level}"
         )
-    return ann_n1.symbol.mul(fb.A).divide_right(ann_n.symbol.upsample(), tol=tol)
+    return ann_n1.symbol.mul(fb.A).divide_right(ann_n.symbol.upsample())
 
 
 def compute_S(
-    fb: FilterBank,
-    ann_n1: Annihilator,
-    tol: float = 1e-10,
-    cross_check_R: MatLaurent | None = None,
+    fb: FilterBank, ann_n1: Annihilator, cross_check_R: MatLaurent | None = None
 ) -> MatLaurent:
     """Quotient of ``(B~[n])#(z) = S[n](z) H[n+1](z)``.
 
@@ -175,7 +172,7 @@ def compute_S(
         raise ValueError(
             f"operator level {ann_n1.level} must be bank level {fb.level} + 1"
         )
-    s = fb.B_tilde.involution().divide_right(ann_n1.symbol, tol=tol)
+    s = fb.B_tilde.involution().divide_right(ann_n1.symbol)
     if cross_check_R is not None:
         h_neg = ann_n1.symbol.negate_arg()
         lhs = MatLaurent.identity(fb.dim, power=1).mul(h_neg).mul(s).scale(-1.0)
@@ -187,9 +184,7 @@ def compute_S(
     return s
 
 
-def factorization_pair(
-    fb: FilterBank, ann_n: Annihilator, ann_n1: Annihilator
-) -> FactorizationPair:
+def factorization_pair(fb: FilterBank, ann_n: Annihilator, ann_n1: Annihilator) -> FactorizationPair:
     """Both quotients of the bank ``fb`` with their factorization residuals."""
     r = compute_R(fb, ann_n, ann_n1)
     s = compute_S(fb, ann_n1, cross_check_R=r)
@@ -202,35 +197,27 @@ def factorization_pair(
 # multilevel transform (periodic)
 # ----------------------------------------------------------------------
 
-def _analysis_step(mask: LevelMask, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One periodic analysis step; ``c`` has even length at mask level + 1."""
-    coarse = c[0::2] @ _DINV_T
-    return coarse, c[1::2] - _predict(mask, coarse)
-
-
-def _check_signals(spec: SpaceSpec, *signals) -> None:
-    """Every signal has the space's dim and holds finite data only."""
+def _check_signals(spec: SpaceSpec, *signals: HermiteSignal) -> None:
+    """The spec is in the mask family; every signal starts at node 0 with the space's dim."""
+    _check_family(spec)
     for s in signals:
+        if s.start != 0:
+            raise ValueError(f"transform data starts at node 0, got {s.start} at level {s.level}")
         if s.dim != spec.dim:
-            raise ValueError(
-                f"signal dim {s.dim} does not match the space's dim {spec.dim}"
-            )
-        if not np.isfinite(s.data).all():
-            raise ValueError(
-                f"{type(s).__name__} at level {s.level} holds a non-finite value"
-            )
+            raise ValueError(f"signal dim {s.dim} does not match the space's dim {spec.dim}")
 
 
 def analyze(
     spec: SpaceSpec, signal: HermiteSignal, levels: int
-) -> tuple[HermiteSignal, list[DetailSignal]]:
-    """Depth-``levels`` periodic analysis.
+) -> tuple[HermiteSignal, list[HermiteSignal]]:
+    """Depth-``levels`` periodic analysis of a signal that starts at node 0.
 
     The step from level ``n - l + 1`` down to ``n - l`` uses the bank of
     mask level ``n - l``.  The low-pass is ``c[n-1]_k = D^-1 c[n]_{2k}``;
     details are stored downsampled (``d_hat_k = d_{2k+1}``; even-index
     fine details vanish identically for interpolatory banks).  Returns
-    the coarse signal and the detail signals ordered finest first.
+    the coarse signal and the details ordered finest first; a result
+    that overflows raises ``ValueError``.
     """
     _check_signals(spec, signal)
     if levels < 0:
@@ -243,37 +230,29 @@ def analyze(
             f"signal length {len(signal)} not divisible by 2^{levels} = {2**levels}"
         )
     c = signal.data
-    details: list[DetailSignal] = []
-    for step in range(1, levels + 1):
-        mask = make_mask(spec, n - step)
-        c, d = _analysis_step(mask, c)
-        details.append(DetailSignal(n - step, d))
-    return HermiteSignal(n - levels, c, signal.start), details
+    details: list[HermiteSignal] = []
+    with np.errstate(over="ignore", invalid="ignore"):  # the signal constructor names an overflow
+        for step in range(1, levels + 1):
+            odd, c = c[1::2], c[0::2] @ _DINV_T
+            details.append(HermiteSignal(n - step, odd - _predict(make_mask(spec, n - step), c)))
+    return HermiteSignal(n - levels, c), details
 
 
 def synthesize(
-    spec: SpaceSpec, coarse: HermiteSignal, details: list[DetailSignal]
+    spec: SpaceSpec, coarse: HermiteSignal, details: list[HermiteSignal]
 ) -> HermiteSignal:
     """Exact inverse of :func:`analyze` (details ordered finest first)."""
     _check_signals(spec, coarse, *details)
-    c = coarse.data
-    level = coarse.level
-    for det in reversed(details):
-        if det.level != level:
-            raise ValueError(
-                f"detail level {det.level} does not match coarse level {level}"
-            )
-        if len(det) != len(c):
-            raise ValueError(
-                f"shape mismatch: {len(det)} details for {len(c)} coarse nodes"
-            )
-        mask = make_mask(spec, level)
-        out = np.empty((2 * len(c), mask.dim))
-        out[0::2] = c @ mask.tap(0).T
-        out[1::2] = _predict(mask, c) + det.data
-        c = out
-        level += 1
-    return HermiteSignal(level, c, coarse.start)
+    c, level = coarse.data, coarse.level
+    with np.errstate(over="ignore", invalid="ignore"):  # the signal constructor names an overflow
+        for det in reversed(details):
+            if det.level != level:
+                raise ValueError(f"detail level {det.level} does not match coarse level {level}")
+            if len(det) != len(c):
+                raise ValueError(f"shape mismatch: {len(det)} details for {len(c)} coarse nodes")
+            c = _refine(make_mask(spec, level), c, det.data)
+            level += 1
+    return HermiteSignal(level, c)
 
 
 @dataclass(frozen=True)
@@ -303,7 +282,7 @@ def compress(
         data = np.where(keep[:, None], det.data, 0.0)
         total += len(det)
         kept += int(keep.sum())
-        pruned.append(DetailSignal(det.level, data))
+        pruned.append(HermiteSignal(det.level, data))
     rec = synthesize(spec, coarse, pruned)
     err = float(np.max(np.abs(rec.data - signal.data)))
     scale = float(np.max(np.abs(signal.data)))
@@ -322,10 +301,7 @@ def compress(
 # ----------------------------------------------------------------------
 
 def transform_to_json_dict(
-    spec: SpaceSpec,
-    entry_level: int,
-    coarse: HermiteSignal,
-    details: list[DetailSignal],
+    spec: SpaceSpec, entry_level: int, coarse: HermiteSignal, details: list[HermiteSignal]
 ) -> dict:
     """JSON container ``{spec, entry_level, L, coarse, details}``."""
     return {
@@ -345,14 +321,14 @@ def _finite_block(block, name: str) -> np.ndarray:
     return data
 
 
-def transform_from_json_dict(d: dict) -> tuple[SpaceSpec, int, HermiteSignal, list[DetailSignal]]:
+def transform_from_json_dict(d: dict) -> tuple[SpaceSpec, int, HermiteSignal, list[HermiteSignal]]:
     """Inverse of :func:`transform_to_json_dict`; every coefficient must be finite."""
     spec = SpaceSpec(int(d["spec"]["p"]), d["spec"]["lambda"])
     entry = int(d["entry_level"])
     levels = int(d["L"])
     coarse = HermiteSignal(entry - levels, _finite_block(d["coarse"], "coarse"))
     details = [
-        DetailSignal(entry - step, _finite_block(block, f"details[{step - 1}] (level {entry - step})"))
+        HermiteSignal(entry - step, _finite_block(block, f"details[{step - 1}] (level {entry - step})"))
         for step, block in enumerate(d["details"], start=1)
     ]
     return spec, entry, coarse, details

@@ -8,9 +8,13 @@ A Hermite signal at level ``n`` stores, per node ``k``, the vector
 the natural coordinates in which the subdivision stencil applies without
 explicit diagonal rescaling at runtime.
 
+One type, :class:`HermiteSignal`, holds every such sequence, transform
+coefficients included; its constructor rejects non-finite data.
+
 Boundary policy: periodic extension is the single supported policy for
-finite-signal convolutions; signal lengths must be divisible by ``2^L``
-before a depth-``L`` transform.
+finite-signal convolutions; periodic transform data starts at node 0,
+and its length must be divisible by ``2^L`` before a depth-``L``
+transform.
 """
 
 from __future__ import annotations
@@ -26,12 +30,16 @@ import numpy as np
 class HermiteSignal:
     """A finite sequence of Hermite vectors in v-coordinates.
 
+    Transform coarse data and details start at node 0; row ``k`` of the
+    level-``n`` details belongs to the level-``n+1`` node ``2k+1``.
+
     Attributes
     ----------
     level : int
         The scale level ``n``; node ``k`` sits at ``x = 2^-n (start+k)``.
     data : numpy.ndarray
         Shape ``(N, dim)``; row ``k`` is the v-vector at node ``start+k``.
+        Every entry is finite; the signal keeps a read-only copy.
     start : int
         Integer index of the first node (0 for periodic transform data).
     """
@@ -44,6 +52,9 @@ class HermiteSignal:
         d = np.asarray(self.data, dtype=float)
         if d.ndim != 2:
             raise ValueError(f"signal data must be 2-D, got shape {d.shape}")
+        if not np.isfinite(d).all():
+            raise ValueError(f"HermiteSignal at level {self.level} holds a non-finite value")
+        # the private copy keeps both checks true for the signal's lifetime
         d = d.copy()
         d.setflags(write=False)
         object.__setattr__(self, "data", d)
@@ -62,34 +73,6 @@ class HermiteSignal:
     def grid(self) -> np.ndarray:
         """Physical positions ``2^-level * node``."""
         return self.nodes() * 2.0 ** (-self.level)
-
-
-@dataclass(frozen=True)
-class DetailSignal:
-    """Downsampled detail vectors of one analysis step.
-
-    The fine-grid details of an interpolatory bank vanish at even
-    indices, so only ``d_hat[k] = d[2k+1]`` is stored; the length equals
-    half the parent approximation length.
-    """
-
-    level: int
-    data: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        d = np.asarray(self.data, dtype=float)
-        if d.ndim != 2:
-            raise ValueError(f"detail data must be 2-D, got shape {d.shape}")
-        d = d.copy()
-        d.setflags(write=False)
-        object.__setattr__(self, "data", d)
-
-    @property
-    def dim(self) -> int:
-        return self.data.shape[1]
-
-    def __len__(self) -> int:
-        return self.data.shape[0]
 
 
 # ----------------------------------------------------------------------

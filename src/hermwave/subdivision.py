@@ -12,12 +12,14 @@ origin, which makes the backward mask tap ``A_-1`` a frequency-free
 constant; the exponential pair makes the scheme reproduce ``{1, e^{+-lam
 x}}`` across levels (the V_{0,L}-spectral condition).  As ``mu -> 0``
 the space tends to the full quintics and the masks to the stationary
-quintic Hermite scheme.
+quintic Hermite scheme.  The mask and the closed-form pieces are solved
+from the Hermite data of ``W_mu`` that ``annihilator._hermite_data`` gives.
 
 All signals are in v-coordinates (see :mod:`hermwave.signal`), in which
 one subdivision step is plain stencil application: even outputs are
 ``D @ input`` (exact, since ``D`` is a power-of-two diagonal) and odd
-outputs come from the two neighbor taps.
+outputs come from the two neighbor taps (periodic synthesis adds its
+details to the latter).
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .annihilator import SpaceSpec, _derivs, _local_basis, dilation_matrix
+from .annihilator import SpaceSpec, _hermite_data, _local_basis, dilation_matrix
 from .laurent import MatLaurent, even_part_dev
 from .signal import HermiteSignal, exponential, monomial, sample_function
 
@@ -96,13 +98,17 @@ def make_mask(spec: SpaceSpec, level: int) -> LevelMask:
     AssertionError
         If the solved backward tap misses :data:`A_MINUS_1`.
     """
+    _check_family(spec)
+    _check_level(level)
+    return LevelMask(level, spec, _mask_symbol(spec.frequency_at(level)))
+
+
+def _check_family(spec: SpaceSpec) -> None:
     if spec.p != 0 or spec.lam is None:
         raise ValueError(
             "mask derivation implements the (p=0, one frequency pair) family; "
             f"got p={spec.p}, lambda={spec.lam}"
         )
-    _check_level(level)
-    return LevelMask(level, spec, _mask_symbol(spec.frequency_at(level)))
 
 
 def _check_level(level: int) -> None:
@@ -118,24 +124,16 @@ def _mask_symbol(mu: float) -> MatLaurent:
     its coefficients (and so its ``tap`` views) are read-only.  A failed
     solve raises and is not cached.
     """
-    basis = _local_basis(mu)
     d = dilation_matrix(2)
-    m = np.zeros((6, 6))
-    rhs = np.zeros((6, 3))
-    try:
-        for r, f in enumerate(basis):
-            m[r, :3] = _derivs(f, 0.0)
-            m[r, 3:] = _derivs(f, 1.0)
-            rhs[r] = d @ _derivs(f, 0.5)
-    except OverflowError as exc:
-        raise ValueError(f"local basis overflows at scaled frequency {mu}") from exc
+    # row r: the Hermite data of basis function r at 0 and 1, and D times it at 1/2
+    m = np.hstack((_hermite_data(mu, 0.0), _hermite_data(mu, 1.0)))
+    rhs = _hermite_data(mu, 0.5) @ d.T
     if np.linalg.cond(m) > COND_LIMIT:
         raise ValueError(
             f"interpolation system ill conditioned at scaled frequency {mu}"
         )
     sol = np.linalg.solve(m, rhs)
-    a1 = sol[:3].T
-    am1 = sol[3:].T
+    a1, am1 = sol[:3].T, sol[3:].T
     if np.max(np.abs(am1 - A_MINUS_1)) > 1e-11:
         raise AssertionError("derived mask violates the constant backward tap")
     return MatLaurent.from_taps(3, {-1: am1, 0: d, 1: a1})
@@ -168,7 +166,7 @@ def subdivide(mask: LevelMask, signal: HermiteSignal) -> HermiteSignal:
     out[1::2] = c @ mask.tap(0).T
     # odd output 2(start+m)-1 (array position 2m) = A_1 c_{m-1} + A_-1 c_m;
     # the zero row in front of c is the zero extension on both ends
-    out[0::2] = _predict(mask, np.pad(c, ((1, 0), (0, 0))))
+    out[0::2] = _predict(mask, np.concatenate((np.zeros((1, mask.dim)), c)))
     return HermiteSignal(signal.level + 1, out, 2 * signal.start - 1)
 
 
@@ -176,11 +174,21 @@ def subdivide_periodic(mask: LevelMask, signal: HermiteSignal) -> HermiteSignal:
     """One refinement step with periodic extension (length doubles)."""
     if signal.level != mask.level:
         raise ValueError(f"level mismatch: signal {signal.level} vs mask {mask.level}")
-    c = signal.data
-    out = np.zeros((2 * len(c), mask.dim))
+    return HermiteSignal(signal.level + 1, _refine(mask, signal.data), 2 * signal.start)
+
+
+def _refine(mask: LevelMask, c: np.ndarray, details: np.ndarray | None = None) -> np.ndarray:
+    """Periodic refinement of the rows ``c``: ``D c_k`` at even rows, predictions at odd rows.
+
+    Synthesis passes the ``details`` it adds to the predictions.
+    """
+    out = np.empty((2 * len(c), mask.dim))
     out[0::2] = c @ mask.tap(0).T
-    out[1::2] = _predict(mask, c)
-    return HermiteSignal(signal.level + 1, out, 2 * signal.start)
+    odd = _predict(mask, c)
+    if details is not None:
+        odd += details  # on the contiguous prediction: a strided add to out is much slower
+    out[1::2] = odd
+    return out
 
 
 def _predict(mask: LevelMask, coarse: np.ndarray) -> np.ndarray:
@@ -264,9 +272,7 @@ def render_basic_limit(
     keep = np.abs(nodes) <= 2**depth
     grid = nodes[keep] * 2.0**-depth
     scale = np.array([2.0 ** (depth * i) for i in range(3)])
-    values = np.zeros((keep.sum(), 3, 3))
-    for j, sig in enumerate(tables):
-        values[:, :, j] = sig.data[keep] * scale
+    values = np.stack([sig.data[keep] * scale for sig in tables], axis=2)
     return LimitFunctionTable(depth, grid, values)
 
 
@@ -279,21 +285,12 @@ def _piece_coeffs(mu: float, j: int) -> tuple[np.ndarray, np.ndarray]:
     piece on [-1, 0]: the unique combination of ``(x+1)^{3,4,5}`` (the
     triple-zero subspace, frequency-free) with data ``e_j`` at 0.
     """
-    basis = _local_basis(mu)
-    m = np.zeros((6, 6))
-    for c, f in enumerate(basis):
-        m[:3, c] = _derivs(f, 0.0)
-        m[3:, c] = _derivs(f, 1.0)
-    rhs = np.zeros(6)
-    rhs[j] = 1.0
-    right = np.linalg.solve(m, rhs)
-    left_basis = [monomial(q) for q in (3, 4, 5)]
-    ml = np.zeros((3, 3))
-    for c, f in enumerate(left_basis):
-        ml[:, c] = _derivs(f, 1.0)
-    rl = np.zeros(3)
-    rl[j] = 1.0
-    left = np.linalg.solve(ml, rl)
+    # the transposed mask system: column c is basis function c's data at 0 and 1
+    h1 = _hermite_data(mu, 1.0)
+    m = np.hstack((_hermite_data(mu, 0.0), h1)).T
+    right = np.linalg.solve(m, np.eye(6)[j])
+    # x^3, x^4, x^5 are basis functions 1..3
+    left = np.linalg.solve(h1[1:4].T, np.eye(3)[j])
     right.setflags(write=False)
     left.setflags(write=False)
     return left, right

@@ -295,3 +295,64 @@ def h0_matrix_entry_formulas(p: int, mu: float) -> np.ndarray:
     h0[0] = [-1.0, -1.0, cosh_m1(mu), _x_m_sinh(mu)]
     h0[1:, 1:] = core
     return h0
+
+
+# ----------------------------------------------------------------------
+# the mask and closed-form piece systems assembled one basis function at a
+# time: ``subdivision._mask_symbol`` and ``_piece_coeffs``, which read the
+# systems off ``annihilator._hermite_data``, must match them bit for bit
+# ----------------------------------------------------------------------
+
+def _derivs(f, t: float) -> np.ndarray:
+    return np.array([f(t, j) for j in range(3)])
+
+
+def mask_symbol_loop(mu: float) -> MatLaurent:
+    """``subdivision._mask_symbol`` with one row of the 6x6 system per basis function."""
+    from hermwave.annihilator import _local_basis, dilation_matrix
+    from hermwave.subdivision import A_MINUS_1, COND_LIMIT
+
+    basis = _local_basis(mu)
+    d = dilation_matrix(2)
+    m = np.zeros((6, 6))
+    rhs = np.zeros((6, 3))
+    try:
+        for r, f in enumerate(basis):
+            m[r, :3] = _derivs(f, 0.0)
+            m[r, 3:] = _derivs(f, 1.0)
+            rhs[r] = d @ _derivs(f, 0.5)
+    except OverflowError as exc:
+        raise ValueError(f"local basis overflows at scaled frequency {mu}") from exc
+    if np.linalg.cond(m) > COND_LIMIT:
+        raise ValueError(
+            f"interpolation system ill conditioned at scaled frequency {mu}"
+        )
+    sol = np.linalg.solve(m, rhs)
+    a1 = sol[:3].T
+    am1 = sol[3:].T
+    if np.max(np.abs(am1 - A_MINUS_1)) > 1e-11:
+        raise AssertionError("derived mask violates the constant backward tap")
+    return MatLaurent.from_taps(3, {-1: am1, 0: d, 1: a1})
+
+
+def piece_coeffs_loop(mu: float, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """``subdivision._piece_coeffs`` with one column of each system per basis function."""
+    from hermwave.annihilator import _local_basis
+    from hermwave.signal import monomial
+
+    basis = _local_basis(mu)
+    m = np.zeros((6, 6))
+    for c, f in enumerate(basis):
+        m[:3, c] = _derivs(f, 0.0)
+        m[3:, c] = _derivs(f, 1.0)
+    rhs = np.zeros(6)
+    rhs[j] = 1.0
+    right = np.linalg.solve(m, rhs)
+    left_basis = [monomial(q) for q in (3, 4, 5)]
+    ml = np.zeros((3, 3))
+    for c, f in enumerate(left_basis):
+        ml[:, c] = _derivs(f, 1.0)
+    rl = np.zeros(3)
+    rl[j] = 1.0
+    left = np.linalg.solve(ml, rl)
+    return left, right

@@ -202,7 +202,9 @@ def test_criterion_08_two_level_identity():
     for p in (0, 1):
         for lam in (1.0, 2.0, 4.0):
             for level in range(5):
-                worst = max(worst, check_two_level_identity(SpaceSpec(p, lam), level))
+                spec = SpaceSpec(p, lam)
+                ann_n, ann_n1 = make_annihilator(spec, level), make_annihilator(spec, level + 1)
+                worst = max(worst, check_two_level_identity(ann_n, ann_n1))
     _finish(
         8,
         "two-level cancellation-operator identity, p in {0,1} (1e-12)",

@@ -17,6 +17,7 @@ from hermwave.annihilator import (
 )
 from hermwave.laurent import max_coeff_dev
 from hermwave.signal import exponential, monomial, sample_function
+from hermwave.subdivision import closed_form_phi, make_mask
 
 from golden_data import T_TAPS, apply, apply_exact, h0_matrix_entry_formulas, max_tap_dev
 
@@ -172,7 +173,29 @@ def test_eigvec_condition(spec, level):
 @pytest.mark.parametrize("spec", [SpaceSpec(0, 2.0), SpaceSpec(0, None), SpaceSpec(1, 1.0)])
 @pytest.mark.parametrize("level", [0, 2])
 def test_two_level_identity(spec, level):
-    assert check_two_level_identity(spec, level) < 1e-12
+    ann_n, ann_n1 = make_annihilator(spec, level), make_annihilator(spec, level + 1)
+    assert check_two_level_identity(ann_n, ann_n1) < 1e-12
+
+
+def test_two_level_identity_needs_consecutive_levels():
+    spec = SpaceSpec(0, 2.0)
+    for n, n1 in ((1, 1), (2, 1), (0, 2)):
+        with pytest.raises(ValueError, match=rf"operator levels \({n}, {n1}\) must be n, n \+ 1"):
+            check_two_level_identity(make_annihilator(spec, n), make_annihilator(spec, n1))
+
+
+# math.sinh raises past mu ~ 710.5; from mu ~ 703.9 on, the product
+# mu * sinh(mu) is already inf
+@pytest.mark.parametrize("mu", [705.0, 711.0, 1000.0])
+def test_local_basis_overflow_is_a_named_error(mu):
+    spec = SpaceSpec(0, mu)
+    message = rf"^local basis overflows at scaled frequency {mu}$"
+    with pytest.raises(ValueError, match=message):
+        make_annihilator(spec, 0)
+    with pytest.raises(ValueError, match=message):
+        make_mask(spec, 0)
+    with pytest.raises(ValueError, match=message):
+        closed_form_phi(spec, 0, 0.5)
 
 
 def test_commutation_of_negated_symbols():

@@ -275,7 +275,30 @@ def test_dimension_mismatch_is_a_clean_error(tmp_path, capsys):
     payload["details"] = [[1.0, 2.0, 3.0]]
     coeffs.write_text(json.dumps(payload))
     assert main(["synthesize", "--input", str(coeffs)]) == 2
-    _clean_error(capsys, "detail data must be 2-D")
+    _clean_error(capsys, "signal data must be 2-D")
+
+
+def test_unsupported_p_in_a_coefficient_file_is_named(tmp_path, exp_signal, capsys):
+    coeffs = tmp_path / "c.json"
+    assert main(["analyze", "--depth", "2", "--input", str(exp_signal), "--output", str(coeffs)]) == 0
+    payload = json.loads(coeffs.read_text())
+    payload["spec"]["p"] = 1
+    coeffs.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["synthesize", "--input", str(coeffs)]) == 2
+    _clean_error(capsys, "(p=0, one frequency pair) family; got p=1")
+
+
+def test_analyze_of_a_signal_not_starting_at_node_zero(tmp_path, capsys):
+    path = tmp_path / "from5.csv"
+    write_signal(HermiteSignal(4, np.ones((16, 3)), start=5), path)
+    assert main(["analyze", "--depth", "2", "--input", str(path)]) == 2
+    _clean_error(capsys, "transform data starts at node 0, got 5 at level 4")
+
+
+def test_verify_overflowing_frequency_is_a_clean_error(capsys):
+    assert main(["verify", "--lambda", "1000"]) == 2
+    _clean_error(capsys, "local basis overflows at scaled frequency 1000.0")
 
 
 def test_compress_rejects_nan_threshold(exp_signal, capsys):

@@ -27,7 +27,6 @@ from hermwave.filterbank import (
 )
 from hermwave.laurent import DivisionError, MatLaurent, max_coeff_dev
 from hermwave.signal import (
-    DetailSignal,
     HermiteSignal,
     exponential,
     hyperbolic_cosine,
@@ -231,7 +230,7 @@ def test_detail_impulse_maps_to_odd_fine_index():
     coarse = HermiteSignal(3, np.zeros((8, 3)))
     det = np.zeros((8, 3))
     det[2, 0] = 1.0
-    rec = synthesize(spec, coarse, [DetailSignal(3, det)])
+    rec = synthesize(spec, coarse, [HermiteSignal(3, det)])
     expect = np.zeros((16, 3))
     expect[5, 0] = 1.0
     assert np.array_equal(rec.data, expect)
@@ -241,7 +240,7 @@ def test_zero_details_equals_subdivision():
     spec = SpaceSpec(0, 2.0)
     rng = np.random.default_rng(7)
     coarse = HermiteSignal(2, rng.uniform(-1, 1, (16, 3)))
-    rec = synthesize(spec, coarse, [DetailSignal(2, np.zeros((16, 3)))])
+    rec = synthesize(spec, coarse, [HermiteSignal(2, np.zeros((16, 3)))])
     from hermwave.subdivision import subdivide_periodic
 
     direct = subdivide_periodic(make_mask(spec, 2), coarse)
@@ -255,13 +254,13 @@ def test_transform_error_contracts():
     with pytest.raises(ValueError, match="divisible"):
         analyze(spec, HermiteSignal(5, np.zeros((66, 3))), 3)
     with pytest.raises(ValueError, match="level"):
-        synthesize(spec, HermiteSignal(2, np.zeros((8, 3))), [DetailSignal(5, np.zeros((8, 3)))])
+        synthesize(spec, HermiteSignal(2, np.zeros((8, 3))), [HermiteSignal(5, np.zeros((8, 3)))])
     with pytest.raises(ValueError, match="signal dim 4 does not match the space's dim 3"):
         analyze(spec, HermiteSignal(5, np.zeros((64, 4))), 3)
     with pytest.raises(ValueError, match="signal dim 4 does not match"):
-        synthesize(spec, HermiteSignal(2, np.zeros((8, 4))), [DetailSignal(2, np.zeros((8, 4)))])
+        synthesize(spec, HermiteSignal(2, np.zeros((8, 4))), [HermiteSignal(2, np.zeros((8, 4)))])
     with pytest.raises(ValueError, match="signal dim 2 does not match"):
-        synthesize(spec, HermiteSignal(2, np.zeros((8, 3))), [DetailSignal(2, np.zeros((8, 2)))])
+        synthesize(spec, HermiteSignal(2, np.zeros((8, 3))), [HermiteSignal(2, np.zeros((8, 2)))])
     for bad in (-1e-8, float("nan")):
         with pytest.raises(ValueError, match="threshold must be nonnegative"):
             compress(spec, HermiteSignal(5, np.zeros((64, 3))), 3, bad)
@@ -300,12 +299,42 @@ def test_synthesize_rejects_non_finite_coefficients(value):
     coarse, details = analyze(spec, sample_function(hyperbolic_cosine(2.0), 4, 0, 16), 2)
     bad = details[1].data.copy()
     bad[1, 0] = value
-    with pytest.raises(ValueError, match="DetailSignal at level 2 holds a non-finite value"):
-        synthesize(spec, coarse, [details[0], DetailSignal(2, bad)])
+    with pytest.raises(ValueError, match="HermiteSignal at level 2 holds a non-finite value"):
+        synthesize(spec, coarse, [details[0], HermiteSignal(2, bad)])
     bad = coarse.data.copy()
     bad[0, 2] = value
     with pytest.raises(ValueError, match="HermiteSignal at level 2 holds a non-finite value"):
         synthesize(spec, HermiteSignal(2, bad), details)
+
+
+@pytest.mark.filterwarnings("error")
+def test_analyze_overflow_is_a_named_error():
+    # finite input whose coarse entries D^-1 c overflow; numpy's overflow warning stays silent
+    data = np.zeros((16, 3))
+    data[4, 2] = 1e308
+    with pytest.raises(ValueError, match="HermiteSignal at level 3 holds a non-finite value"):
+        analyze(SpaceSpec(0, 2.0), HermiteSignal(4, data), 2)
+
+
+def test_transform_data_starts_at_node_zero():
+    spec = SpaceSpec(0, 2.0)
+    with pytest.raises(ValueError, match="transform data starts at node 0, got 5 at level 4"):
+        analyze(spec, HermiteSignal(4, np.zeros((16, 3)), start=5), 2)
+    coarse, details = analyze(spec, HermiteSignal(4, np.zeros((16, 3))), 2)
+    assert coarse.start == 0 and all(d.start == 0 for d in details)
+    with pytest.raises(ValueError, match="transform data starts at node 0, got -1 at level 2"):
+        synthesize(spec, HermiteSignal(2, coarse.data, start=-1), details)
+    with pytest.raises(ValueError, match="transform data starts at node 0, got 3 at level 3"):
+        synthesize(spec, coarse, [HermiteSignal(3, details[0].data, start=3), details[1]])
+
+
+def test_transform_checks_the_spec_before_the_dims():
+    spec = SpaceSpec(1, 2.0)  # dim 4; the mask family has p = 0 only
+    with pytest.raises(ValueError, match=r"\(p=0, one frequency pair\) family; got p=1"):
+        analyze(spec, HermiteSignal(4, np.zeros((16, 3))), 2)
+    for details in ([HermiteSignal(2, np.zeros((8, 3)))], []):
+        with pytest.raises(ValueError, match=r"\(p=0, one frequency pair\) family; got p=1"):
+            synthesize(spec, HermiteSignal(2, np.zeros((8, 3))), details)
 
 
 def test_transform_json_roundtrip():
@@ -332,7 +361,7 @@ def test_transform_json_roundtrip_bit_exact(coarse, details, lam):
     # the coefficient file as the CLI writes it: compact JSON of this payload
     spec = SpaceSpec(0, lam)
     entry = len(details) + 1
-    dets = [DetailSignal(entry - i, d) for i, d in enumerate(details, start=1)]
+    dets = [HermiteSignal(entry - i, d) for i, d in enumerate(details, start=1)]
     payload = transform_to_json_dict(spec, entry, HermiteSignal(1, coarse), dets)
     text = json.dumps(payload, separators=(",", ":"))
     spec2, entry2, coarse2, details2 = transform_from_json_dict(json.loads(text))

@@ -9,6 +9,8 @@ from hermwave.annihilator import SpaceSpec, dilation_matrix
 from hermwave.signal import HermiteSignal, exponential, monomial, sample_function
 from hermwave.subdivision import (
     A_MINUS_1,
+    _mask_symbol,
+    _piece_coeffs,
     _predict,
     check_spectral_condition,
     closed_form_deviation,
@@ -25,7 +27,9 @@ from golden_data import (
     A_TAPS,
     check_refinement_equation,
     closed_form_phi_pointwise,
+    mask_symbol_loop,
     max_tap_dev,
+    piece_coeffs_loop,
     predict_roll,
 )
 
@@ -116,6 +120,30 @@ def test_failed_mask_derivation_is_not_cached():
             make_mask(SpaceSpec(0, 1000.0), 0)
     with pytest.raises(ValueError):
         make_mask(SpaceSpec(0, None), 0)
+
+
+#: Scaled frequencies of the bit-equality checks: a grid over the working
+#: range, and the 2^-k lam that the CLI and the benchmark use.
+MUS = [0.0, *np.geomspace(1e-8, 10.0, 300)]
+MUS += [2.0**-k * lam for lam in (0.5, 2.0, 4.0, 8.0) for k in range(8)]
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def test_mask_symbol_bit_equal_to_basis_loop():
+    for mu in MUS:
+        new, ref = _mask_symbol(mu), mask_symbol_loop(mu)
+        assert (new.lo, new.hi) == (ref.lo, ref.hi), mu
+        assert np.array_equal(_bits(new.coeffs), _bits(ref.coeffs)), mu
+
+
+def test_piece_coeffs_bit_equal_to_basis_loop():
+    for mu in MUS:
+        for j in range(3):
+            for new, ref in zip(_piece_coeffs(mu, j), piece_coeffs_loop(mu, j)):
+                assert np.array_equal(_bits(new), _bits(ref)), (mu, j)
 
 
 # ----------------------------------------------------------------------
