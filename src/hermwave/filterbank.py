@@ -27,6 +27,7 @@ from node 0; synthesis is periodic refinement plus the odd-node details.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -243,16 +244,21 @@ def synthesize(
 ) -> HermiteSignal:
     """Exact inverse of :func:`analyze` (details ordered finest first)."""
     _check_signals(spec, coarse, *details)
-    c, level = coarse.data, coarse.level
+    for step, det in enumerate(reversed(details)):
+        level, nodes = coarse.level + step, len(coarse) << step
+        if (det.level, len(det)) != (level, nodes):
+            raise ValueError(f"detail level {det.level}, {len(det)} rows: expected {level}, {nodes} rows")
+    c = _refine_levels(spec, coarse.level, coarse.data, [det.data for det in details])
+    return HermiteSignal(coarse.level + len(details), c)
+
+
+def _refine_levels(spec: SpaceSpec, level: int, c: np.ndarray, details: list[np.ndarray]) -> np.ndarray:
+    """The synthesis loop on checked arrays: refine ``c`` from ``level`` by each detail array."""
     with np.errstate(over="ignore", invalid="ignore"):  # the signal constructor names an overflow
-        for det in reversed(details):
-            if det.level != level:
-                raise ValueError(f"detail level {det.level} does not match coarse level {level}")
-            if len(det) != len(c):
-                raise ValueError(f"shape mismatch: {len(det)} details for {len(c)} coarse nodes")
-            c = _refine(make_mask(spec, level), c, det.data)
+        for d in reversed(details):
+            c = _refine(make_mask(spec, level), c, d)
             level += 1
-    return HermiteSignal(level, c)
+    return c
 
 
 @dataclass(frozen=True)
@@ -274,16 +280,11 @@ def compress(
     if not threshold >= 0:
         raise ValueError(f"threshold must be nonnegative, got {threshold}")
     coarse, details = analyze(spec, signal, levels)
-    total = kept = 0
-    pruned = []
-    for det in details:
-        mags = np.max(np.abs(det.data), axis=1)
-        keep = mags > threshold
-        data = np.where(keep[:, None], det.data, 0.0)
-        total += len(det)
-        kept += int(keep.sum())
-        pruned.append(HermiteSignal(det.level, data))
-    rec = synthesize(spec, coarse, pruned)
+    # column by column: an axis-1 max would loop over rows of dim entries
+    keeps = [functools.reduce(np.maximum, np.abs(det.data).T) > threshold for det in details]
+    pruned = [np.where(keep[:, None], det.data, 0.0) for keep, det in zip(keeps, details)]
+    rec = HermiteSignal(signal.level, _refine_levels(spec, coarse.level, coarse.data, pruned))
+    total, kept = sum(map(len, keeps)), int(sum(map(np.count_nonzero, keeps)))
     err = float(np.max(np.abs(rec.data - signal.data)))
     scale = float(np.max(np.abs(signal.data)))
     return CompressionReport(

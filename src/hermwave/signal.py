@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -210,35 +211,20 @@ def write_signal(signal: HermiteSignal, dest) -> None:
         fh.writelines(csv_blocks(signal.data, range(signal.start, signal.start + len(signal))))
 
 
-def _parse_rows(rows: list[str], dim: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """Node and value columns of non-blank data rows, or ``None`` if any is malformed."""
-    if any(ln.count(",") != dim for ln in rows):
-        return None
-    cells = ",".join(rows).split(",")
-    try:
-        nodes = np.array(cells[0 :: dim + 1], dtype=np.int64)
-        del cells[0 :: dim + 1]
-        data = np.array(cells, dtype=float).reshape(len(rows), dim)
-    except (ValueError, OverflowError):
-        return None
-    return (nodes, data) if np.isfinite(data).all() else None
-
-
-def _raise_first_bad_row(path, lines: list[str], dim: int) -> None:
-    """Raise the line-numbered error for the first malformed data row.
-
-    ``lines`` are the lines after the header; each row is checked as
-    :func:`_parse_rows` checks the whole table.
-    """
+def _check_rows(path, lines: list[str], dim: int) -> None:
+    """Raise the line-numbered error for the first malformed row of ``lines`` (after the header), if any."""
     for i, ln in enumerate(lines, start=3):
         if not ln.strip():
             continue
-        cells = ln.split(",")
+        cells = [c.strip() for c in ln.split(",")]
         if len(cells) != dim + 1:
             raise SignalFormatError(
                 f"{path}: line {i}: expected {dim + 1} cells, got {len(cells)}"
             )
         try:
+            # as numpy's reader: no "_" separators or non-ASCII digits, which int/float take
+            if any("_" in c or not c.isascii() for c in cells):
+                raise ValueError("a cell is not an ASCII decimal number")
             node, values = int(cells[0]), [float(c) for c in cells[1:]]
         except ValueError as exc:
             raise SignalFormatError(f"{path}: line {i}: non-numeric cell") from exc
@@ -246,18 +232,18 @@ def _raise_first_bad_row(path, lines: list[str], dim: int) -> None:
             raise SignalFormatError(f"{path}: line {i}: node index out of range")
         if not all(map(math.isfinite, values)):
             raise SignalFormatError(f"{path}: line {i}: non-finite value")
-    raise SignalFormatError(f"{path}: malformed data rows")
 
 
 def read_signal(path) -> HermiteSignal:
     """Read the CSV format of :func:`write_signal`.
 
-    Blank lines are skipped; every value must be finite.  The body is
-    parsed column by column in bulk; only a malformed file is scanned
-    row by row, to name the first bad line.
+    Blank lines are skipped; a cell is an ASCII decimal number and every
+    value is finite.  numpy's C reader parses the body in one call; only
+    a malformed file is scanned row by row, to name the first bad line.
     """
     with open(path) as fh:
-        lines = fh.read().split("\n")
+        text = fh.read()
+    lines = text.split("\n")
     if not lines[0].startswith("# "):
         raise SignalFormatError(
             f"{path}: line 1: missing metadata line '# level=n dim=d+1'"
@@ -281,10 +267,23 @@ def read_signal(path) -> HermiteSignal:
     rows = [ln for ln in lines if ln.strip()]
     if not rows:
         raise SignalFormatError(f"{path}: no data rows")
-    parsed = _parse_rows(rows, dim)
-    if parsed is None:
-        _raise_first_bad_row(path, lines, dim)
-    nodes, data = parsed
-    if np.any(np.diff(nodes) != 1):
-        raise SignalFormatError(f"{path}: node indices must be consecutive")
-    return HermiteSignal(level, data, start=int(nodes[0]))
+    if not text.isascii():
+        # numpy's integer parser reads many non-ASCII letters as digits ("\u01fe" as 462)
+        _check_rows(path, lines, dim)
+    try:
+        with warnings.catch_warnings():
+            # older numpy reads an integer cell such as "1.5" through float, with only a warning
+            warnings.simplefilter("error", DeprecationWarning)
+            table = np.loadtxt(
+                rows, dtype=[("k", np.int64), ("v", float, (dim,))],
+                delimiter=",", comments=None, ndmin=1,
+            )
+        sig = HermiteSignal(level, table["v"], start=int(table["k"][0]))
+    except (ValueError, DeprecationWarning):
+        _check_rows(path, lines, dim)
+        raise SignalFormatError(f"{path}: malformed data rows") from None
+    gaps = np.flatnonzero(np.diff(table["k"]) != 1)
+    if gaps.size:
+        line = [i for i, ln in enumerate(lines, start=3) if ln.strip()][gaps[0] + 1]
+        raise SignalFormatError(f"{path}: line {line}: node indices must be consecutive")
+    return sig

@@ -401,3 +401,25 @@ def test_compress_mixed_signal_monotone():
         compress(spec, sig, 2, thr).max_abs_error for thr in (1e-12, 1e-8, 1e-4, 1e-2)
     ]
     assert all(a <= b + 1e-12 for a, b in zip(errs, errs[1:]))
+
+
+def test_compress_keep_mask_matches_row_max_norm():
+    # the column-wise mask equals np.max(|d|, axis=1) > t, rows exactly at t included
+    spec = SpaceSpec(0, 2.0)
+    rng = np.random.default_rng(23)
+    sig = HermiteSignal(7, rng.standard_normal((128, 3)) * np.logspace(-6, 0, 128)[:, None])
+    coarse, details = analyze(spec, sig, 3)
+    threshold = float(np.sort(np.max(np.abs(details[1].data), axis=1))[10])  # a row's exact norm
+    keeps = [np.max(np.abs(d.data), axis=1) > threshold for d in details]
+    assert any((np.max(np.abs(d.data), axis=1) == threshold).any() for d in details)
+    rep = compress(spec, sig, 3, threshold)
+    assert rep.total_details == sum(map(len, details))
+    assert rep.kept_details == sum(int(k.sum()) for k in keeps)
+    pruned = [HermiteSignal(d.level, np.where(k[:, None], d.data, 0.0)) for d, k in zip(details, keeps)]
+    assert rep.reconstruction.data.tobytes() == synthesize(spec, coarse, pruned).data.tobytes()
+
+
+def test_synthesize_rejects_detail_length_mismatch():
+    spec = SpaceSpec(0, 2.0)
+    with pytest.raises(ValueError, match="detail level 2, 4 rows: expected 2, 8 rows"):
+        synthesize(spec, HermiteSignal(2, np.zeros((8, 3))), [HermiteSignal(2, np.zeros((4, 3)))])

@@ -1,7 +1,9 @@
 """Hermite data model, exact sampling, CSV I/O."""
 
 import io
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -294,3 +296,77 @@ def test_non_finite_cell(tmp_path, cell):
     rows = ["0,1.0,0.0,0.0", "", f"1,1.0,{cell},0.0"]
     with pytest.raises(SignalFormatError, match="line 5: non-finite value"):
         read_signal(_body_file(tmp_path, rows))
+
+
+finite_doubles = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 30).flatmap(lambda n: arrays(np.float64, (n, 3), elements=finite_doubles)),
+    st.integers(-(2**62), 2**62),
+)
+@example(np.array([[5e-324, -5e-324, -0.0], [1.7976931348623157e308, -1.7976931348623157e308, 0.0]]), 2**62)
+@example(np.array([[2.2250738585072014e-308, 0.1, -1e-300]]), -(2**62))
+def test_write_read_bit_exact_for_any_finite_double(tmp_path_factory, data, start):
+    p = tmp_path_factory.mktemp("rt") / "a.csv"
+    write_signal(HermiteSignal(5, data, start=start), p)
+    back = read_signal(p)
+    assert back.start == start and back.level == 5
+    assert np.array_equal(back.data.view(np.int64), data.view(np.int64))
+
+
+@pytest.mark.parametrize("column", [0, 2])
+@pytest.mark.parametrize("cell", ["1_000", "٣", "１", "Ǿ"])
+def test_underscore_and_non_ascii_digits_are_named(tmp_path, column, cell):
+    # Python's int/float take these; numpy's reader does not, and reads "Ǿ" as node 462
+    rows = [["0", "1.0", "0.0", "0.0"], ["1", "2.0", "0.5", "0.25"]]
+    rows[1][column] = cell
+    with pytest.raises(SignalFormatError, match="line 4: non-numeric cell"):
+        read_signal(_body_file(tmp_path, [",".join(r) for r in rows]))
+
+
+def test_non_consecutive_nodes_names_the_line(tmp_path):
+    rows = ["5,1.0,0.0,0.0", "", "6,1.0,0.0,0.0", "8,1.0,0.0,0.0"]
+    with pytest.raises(SignalFormatError, match="line 6: node indices must be consecutive"):
+        read_signal(_body_file(tmp_path, rows))
+
+
+#: Cells that stress the two number parsers: separators, non-ASCII digits
+#: and spaces, control characters, signs, exponents, and non-finite words.
+MUTATIONS = [
+    "", " ", "1_000", "1_0", "٣", "１", "Ǿ", "1.5", "3.0", "1e5", "1E-5", ".5", "5.",
+    "+1", "-0", "01", "0x10", "1.0j", "1d5", "-", "e5", "1 2", "5#", '"1"', "\x00", "\t5", "5\xa0",
+    "　5", "\x1c5", "\x0c7", "\x0b3", "2 ", "nan", "NaN", "-nan", "inf", "+inf", "infinity",
+    "-Infinity", "nan(1)", "1e400", "1e-400", "9223372036854775807", "9223372036854775808",
+    "-9223372036854775808",
+]
+
+
+def _python_cell(cell, kind):
+    """The value Python gives an ASCII decimal cell, or ``None``."""
+    s = cell.strip()
+    try:
+        return kind(s) if s.isascii() and "_" not in s else None
+    except ValueError:
+        return None
+
+
+def test_single_cell_mutations_are_read_or_named(tmp_path):
+    # every mutation either reads back as Python parses the cell, or names its line
+    base = [["0", "1.5", "-2.0", "3e-05"], ["1", "0.25", "1e+300", "-0.0"], ["2", "5e-324", "7.0", "8.0"]]
+    for row, col, cell in itertools.product(range(3), range(4), MUTATIONS):
+        rows = [list(r) for r in base]
+        rows[row][col] = cell
+        try:
+            sig = read_signal(_body_file(tmp_path, [",".join(r) for r in rows]))
+        except SignalFormatError as exc:
+            assert re.search(r": line \d+: ", str(exc)), (row, col, cell, str(exc))
+            continue
+        if col == 0:
+            assert _python_cell(cell, int) == row, (row, cell)
+            continue
+        want = _python_cell(cell, float)
+        assert want is not None and math.isfinite(want), (row, col, cell)
+        expect = np.array([[_python_cell(x, float) for x in r[1:]] for r in rows])
+        assert np.array_equal(sig.data.view(np.int64), expect.view(np.int64)), (row, col, cell)
