@@ -35,15 +35,11 @@ import numpy as np
 
 from .annihilator import Annihilator, SpaceSpec, inverse_dilation_matrix
 from .laurent import MatLaurent, even_part_dev, max_coeff_dev
-from .signal import HermiteSignal, sample_function
-from .subdivision import LevelMask, _check_family, _predict, _refine, interpolatory_residual, make_mask
+from .signal import HermiteSignal, _check_finite, sample_function
+from .subdivision import LevelMask, _check_family, _lift, _refine, interpolatory_residual, make_mask
 
 #: Residual bound for accepting a bank as biorthogonal.
 BIORTHO_TOL = 1e-12
-
-#: ``(D^-1)^T`` of the three-component masks, the analysis low-pass.  A
-#: matmul, not an elementwise scaling: it turns ``-0.0`` into ``+0.0``.
-_DINV_T = inverse_dilation_matrix(2).T
 
 
 @dataclass(frozen=True)
@@ -217,8 +213,9 @@ def analyze(
     mask level ``n - l``.  The low-pass is ``c[n-1]_k = D^-1 c[n]_{2k}``;
     details are stored downsampled (``d_hat_k = d_{2k+1}``; even-index
     fine details vanish identically for interpolatory banks).  Returns
-    the coarse signal and the details ordered finest first; a result
-    that overflows raises ``ValueError``.
+    the coarse signal and the details ordered finest first, as read-only
+    arrays that share no memory with ``signal``; a result that overflows
+    raises ``ValueError``.
     """
     _check_signals(spec, signal)
     if levels < 0:
@@ -232,11 +229,15 @@ def analyze(
         )
     c = signal.data
     details: list[HermiteSignal] = []
-    with np.errstate(over="ignore", invalid="ignore"):  # the signal constructor names an overflow
+    with np.errstate(over="ignore", invalid="ignore"):  # _check_finite names an overflow
         for step in range(1, levels + 1):
-            odd, c = c[1::2], c[0::2] @ _DINV_T
-            details.append(HermiteSignal(n - step, odd - _predict(make_mask(spec, n - step), c)))
-    return HermiteSignal(n - levels, c), details
+            shape = (len(c) // 2, spec.dim)
+            fine, c, d = c, np.empty(shape), np.empty(shape)
+            _lift(make_mask(spec, n - step), c, fine, d, analysis=True)
+            _check_finite(n - step, d)
+            details.append(HermiteSignal._computed(n - step, d))
+    _check_finite(n - levels, c)
+    return HermiteSignal._computed(n - levels, c), details
 
 
 def synthesize(
@@ -248,17 +249,21 @@ def synthesize(
         level, nodes = coarse.level + step, len(coarse) << step
         if (det.level, len(det)) != (level, nodes):
             raise ValueError(f"detail level {det.level}, {len(det)} rows: expected {level}, {nodes} rows")
-    c = _refine_levels(spec, coarse.level, coarse.data, [det.data for det in details])
-    return HermiteSignal(coarse.level + len(details), c)
+    return _refine_levels(spec, coarse.level, coarse.data, [det.data for det in details])
 
 
-def _refine_levels(spec: SpaceSpec, level: int, c: np.ndarray, details: list[np.ndarray]) -> np.ndarray:
-    """The synthesis loop on checked arrays: refine ``c`` from ``level`` by each detail array."""
-    with np.errstate(over="ignore", invalid="ignore"):  # the signal constructor names an overflow
+def _refine_levels(spec: SpaceSpec, level: int, c: np.ndarray, details: list[np.ndarray]) -> HermiteSignal:
+    """The synthesis loop on checked arrays: refine ``c`` from ``level`` by each detail array.
+
+    The result is checked once for an overflow; it shares no memory with
+    ``details``, nor with ``c`` unless there are no details.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # _check_finite names an overflow
         for d in reversed(details):
             c = _refine(make_mask(spec, level), c, d)
             level += 1
-    return c
+    _check_finite(level, c)
+    return HermiteSignal._computed(level, c)
 
 
 @dataclass(frozen=True)
@@ -283,7 +288,7 @@ def compress(
     # column by column: an axis-1 max would loop over rows of dim entries
     keeps = [functools.reduce(np.maximum, np.abs(det.data).T) > threshold for det in details]
     pruned = [np.where(keep[:, None], det.data, 0.0) for keep, det in zip(keeps, details)]
-    rec = HermiteSignal(signal.level, _refine_levels(spec, coarse.level, coarse.data, pruned))
+    rec = _refine_levels(spec, coarse.level, coarse.data, pruned)
     total, kept = sum(map(len, keeps)), int(sum(map(np.count_nonzero, keeps)))
     err = float(np.max(np.abs(rec.data - signal.data)))
     scale = float(np.max(np.abs(signal.data)))

@@ -9,7 +9,9 @@ the natural coordinates in which the subdivision stencil applies without
 explicit diagonal rescaling at runtime.
 
 One type, :class:`HermiteSignal`, holds every such sequence, transform
-coefficients included; its constructor rejects non-finite data.
+coefficients included; its constructor rejects non-finite data and keeps
+a read-only copy.  Arrays the library has just computed become signals
+without a copy (:meth:`HermiteSignal._computed`).
 
 Boundary policy: periodic extension is the single supported policy for
 finite-signal convolutions; periodic transform data starts at node 0,
@@ -53,12 +55,24 @@ class HermiteSignal:
         d = np.asarray(self.data, dtype=float)
         if d.ndim != 2:
             raise ValueError(f"signal data must be 2-D, got shape {d.shape}")
-        if not np.isfinite(d).all():
-            raise ValueError(f"HermiteSignal at level {self.level} holds a non-finite value")
+        _check_finite(self.level, d)
         # the private copy keeps both checks true for the signal's lifetime
         d = d.copy()
         d.setflags(write=False)
         object.__setattr__(self, "data", d)
+
+    @classmethod
+    def _computed(cls, level: int, data: np.ndarray, start: int = 0) -> HermiteSignal:
+        """A signal over ``data``, a 2-D float array the library has just computed.
+
+        Neither copies nor checks: the caller has checked that ``data`` is
+        finite, and nothing else writes to it (it is a fresh array, or
+        another signal's read-only data).  ``data`` becomes read-only.
+        """
+        data.setflags(write=False)
+        sig = object.__new__(cls)
+        sig.__dict__.update(level=level, data=data, start=start)  # past the frozen __setattr__
+        return sig
 
     @property
     def dim(self) -> int:
@@ -74,6 +88,12 @@ class HermiteSignal:
     def grid(self) -> np.ndarray:
         """Physical positions ``2^-level * node``."""
         return self.nodes() * 2.0 ** (-self.level)
+
+
+def _check_finite(level: int, data: np.ndarray) -> None:
+    """Raise the named error if the level-``level`` ``data`` holds a NaN or an infinity."""
+    if not np.isfinite(data).all():
+        raise ValueError(f"HermiteSignal at level {level} holds a non-finite value")
 
 
 # ----------------------------------------------------------------------
@@ -168,7 +188,7 @@ def sample_function(f, level: int, start: int, count: int, dim: int = 3) -> Herm
         if bad.size:
             k = int(bad[0])
             raise ValueError(f"f(x, {j}) is not finite at node {start + k} (x = {float(x[k])!r})")
-    return HermiteSignal(level, data, start)
+    return HermiteSignal._computed(level, data, start)
 
 
 # ----------------------------------------------------------------------
@@ -211,6 +231,11 @@ def write_signal(signal: HermiteSignal, dest) -> None:
         fh.writelines(csv_blocks(signal.data, range(signal.start, signal.start + len(signal))))
 
 
+def _prefix(text: str, limit: int = 40) -> str:
+    """``text`` cut to ``limit`` characters, for quoting untrusted input in an error."""
+    return text if len(text) <= limit else text[:limit] + "..."
+
+
 def _check_rows(path, lines: list[str], dim: int) -> None:
     """Raise the line-numbered error for the first malformed row of ``lines`` (after the header), if any."""
     for i, ln in enumerate(lines, start=3):
@@ -251,18 +276,20 @@ def read_signal(path) -> HermiteSignal:
     meta = {}
     for tok in lines[0][2:].split():
         if "=" not in tok:
-            raise SignalFormatError(f"{path}: line 1: malformed metadata token {tok!r}")
+            raise SignalFormatError(f"{path}: line 1: malformed metadata token {_prefix(tok)!r}")
         key, val = tok.split("=", 1)
         meta[key] = val
     try:
         level, dim = int(meta["level"]), int(meta["dim"])
     except (KeyError, ValueError) as exc:
         raise SignalFormatError(f"{path}: line 1: need integer level= and dim=") from exc
-    expect = "k," + ",".join(f"f{j}" for j in range(dim))
-    if len(lines) < 2 or lines[1] != expect:
-        raise SignalFormatError(
-            f"{path}: line 2: expected header {expect!r}, got {lines[1] if len(lines) > 1 else ''!r}"
-        )
+    if dim < 1:
+        raise SignalFormatError(f"{path}: line 1: dim must be >= 1, got {dim}")
+    # field by field, lengths first: dim is untrusted, so no header is built from it
+    header = lines[1].split(",") if len(lines) > 1 else []
+    if len(header) != dim + 1 or header != ["k"] + [f"f{j}" for j in range(dim)]:
+        got = _prefix(lines[1]) if len(lines) > 1 else ""
+        raise SignalFormatError(f"{path}: line 2: expected header 'k,f0,...,f{dim - 1}', got {got!r}")
     del lines[:2]
     rows = [ln for ln in lines if ln.strip()]
     if not rows:

@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .annihilator import SpaceSpec, _hermite_data, _local_basis, dilation_matrix
+from .annihilator import SpaceSpec, _hermite_data, _local_basis, dilation_matrix, inverse_dilation_matrix
 from .laurent import MatLaurent, even_part_dev
 from .signal import HermiteSignal, exponential, monomial, sample_function
 
@@ -41,6 +41,13 @@ A_MINUS_1 = np.array(
 
 #: Condition-number bound above which mask derivation reports failure.
 COND_LIMIT = 1e12
+
+#: Coarse rows per block of the lifting kernel (192 KiB per 3-column operand).
+_BLOCK = 8192
+
+#: ``(D^-1)^T`` of the three-component masks, the analysis low-pass.  A
+#: matmul, not an elementwise scaling: it turns ``-0.0`` into ``+0.0``.
+_DINV_T = inverse_dilation_matrix(2).T
 
 
 @dataclass(frozen=True)
@@ -161,12 +168,9 @@ def subdivide(mask: LevelMask, signal: HermiteSignal) -> HermiteSignal:
         raise ValueError(f"level mismatch: signal {signal.level} vs mask {mask.level}")
     if signal.dim != mask.dim:
         raise ValueError(f"dimension mismatch: signal {signal.dim} vs mask {mask.dim}")
-    c = signal.data
-    out = np.empty((2 * len(c) + 1, mask.dim))
-    out[1::2] = c @ mask.tap(0).T
-    # odd output 2(start+m)-1 (array position 2m) = A_1 c_{m-1} + A_-1 c_m;
-    # the zero row in front of c is the zero extension on both ends
-    out[0::2] = _predict(mask, np.concatenate((np.zeros((1, mask.dim)), c)))
+    # odd output 2(start+m)-1 = A_1 c_{m-1} + A_-1 c_m: periodic refinement of
+    # [0, c] with its first row (D 0) dropped; the zero row extends both ends
+    out = _refine(mask, np.concatenate((np.zeros((1, mask.dim)), signal.data)))[1:]
     return HermiteSignal(signal.level + 1, out, 2 * signal.start - 1)
 
 
@@ -183,23 +187,49 @@ def _refine(mask: LevelMask, c: np.ndarray, details: np.ndarray | None = None) -
     Synthesis passes the ``details`` it adds to the predictions.
     """
     out = np.empty((2 * len(c), mask.dim))
-    out[0::2] = c @ mask.tap(0).T
-    odd = _predict(mask, c)
-    if details is not None:
-        odd += details  # on the contiguous prediction: a strided add to out is much slower
-    out[1::2] = odd
+    _lift(mask, c, out, details, analysis=False)
     return out
 
 
-def _predict(mask: LevelMask, coarse: np.ndarray) -> np.ndarray:
-    """Odd-node prediction ``A_1 c_k + A_-1 c_{k+1}`` with periodic wrap.
+def _lift(mask: LevelMask, coarse: np.ndarray, fine: np.ndarray, details, analysis: bool) -> None:
+    """One periodic lifting level between ``N`` coarse and ``2N`` fine rows, in place.
 
-    The one lifting step shared by periodic subdivision, analysis
-    (``d = odd - prediction``) and synthesis (``odd = d + prediction``).
+    With the prediction ``p_k = A_1 c_k + A_-1 c_{k+1}`` (periodic wrap),
+    analysis writes ``coarse = D^-1 fine_even`` and ``details = fine_odd -
+    p``; synthesis writes ``fine_even = D coarse`` and ``fine_odd = p +
+    details`` (``None`` for plain subdivision).  It runs in blocks of
+    ``_BLOCK`` coarse rows, whose temporaries stay in cache, with the bits
+    of the whole-level formula; the last block takes the remainder, as a
+    one-row product takes another BLAS path with other last bits.
     """
-    # the wrapped copy (row k is c_{k+1}) enters one whole product: a wrap
-    # row computed on its own can differ in the last bit
-    return coarse @ mask.tap(1).T + np.concatenate((coarse[1:], coarse[:1])) @ mask.tap(-1).T
+    n = len(coarse)
+    t1, tm1 = mask.tap(1).T, mask.tap(-1).T
+    for a in range(0, n, _BLOCK):
+        last = a + 2 * _BLOCK > n
+        if a == 0 and last:  # one block: the arrays themselves, so small signals slice nothing
+            c, f, d = coarse, fine, details
+        else:
+            # coarse rows a..b, fine rows 2a..2b: the next block writes row b again, same bits
+            b = n if last else a + _BLOCK
+            c, f = coarse[a : b + 1], fine[2 * a : 2 * b + 1]
+            d = None if details is None else details[a:b]
+        if analysis:
+            np.matmul(f[0::2], _DINV_T, out=c)
+        else:
+            np.matmul(c, mask.tap(0).T, out=f[0::2])
+        # the wrapped operand enters one whole product: a wrap row computed
+        # on its own can differ in the last bit
+        cur, nxt = (c, np.concatenate((c[1:], coarse[:1]))) if last else (c[:-1], c[1:])
+        odd = cur @ t1
+        odd += nxt @ tm1
+        if analysis:
+            np.subtract(f[1::2], odd, out=d)
+        else:
+            if d is not None:
+                odd += d  # on the contiguous prediction: a strided add to fine is much slower
+            f[1::2] = odd
+        if last:
+            break
 
 
 def check_spectral_condition(

@@ -255,9 +255,35 @@ def check_refinement_equation(spec: SpaceSpec, level: int, depth: int) -> float:
 def predict_roll(mask: LevelMask, coarse: np.ndarray) -> np.ndarray:
     """The periodic odd-node prediction with the wrap written as ``np.roll``.
 
-    The reference ``subdivision._predict`` must match byte for byte.
+    The blocked lifting kernel ``subdivision._lift`` must match byte for byte.
     """
     return coarse @ mask.tap(1).T + np.roll(coarse, -1, axis=0) @ mask.tap(-1).T
+
+
+def analyze_roll(spec: SpaceSpec, level: int, data: np.ndarray, levels: int):
+    """Periodic analysis on whole-level arrays, with the prediction of :func:`predict_roll`.
+
+    Returns the coarse array and the detail arrays, finest first; the
+    blocked ``filterbank.analyze`` must match byte for byte.
+    """
+    dinv_t = inverse_dilation_matrix(2).T
+    c, details = data, []
+    for step in range(1, levels + 1):
+        odd, c = c[1::2], c[0::2] @ dinv_t
+        details.append(odd - predict_roll(make_mask(spec, level - step), c))
+    return c, details
+
+
+def synthesize_roll(spec: SpaceSpec, level: int, coarse: np.ndarray, details: list) -> np.ndarray:
+    """Inverse of :func:`analyze_roll` from the coarse ``level``, on whole-level arrays."""
+    c = coarse
+    for d in reversed(details):
+        mask = make_mask(spec, level)
+        fine = np.empty((2 * len(c), 3))
+        fine[0::2] = c @ mask.tap(0).T
+        fine[1::2] = predict_roll(mask, c) + d
+        c, level = fine, level + 1
+    return c
 
 
 def sinhc(mu: float) -> float:

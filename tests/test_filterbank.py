@@ -33,14 +33,16 @@ from hermwave.signal import (
     monomial,
     sample_function,
 )
-from hermwave.subdivision import LevelMask, make_mask
+from hermwave.subdivision import _BLOCK, LevelMask, make_mask
 
 from golden_data import (
     B_TILDE_SHARP_TAPS,
     R_TAPS,
     S_TAPS,
+    analyze_roll,
     max_tap_dev,
     sampled_biorthogonality,
+    synthesize_roll,
     vanishing_moments_loop,
 )
 
@@ -314,6 +316,63 @@ def test_analyze_overflow_is_a_named_error():
     data[4, 2] = 1e308
     with pytest.raises(ValueError, match="HermiteSignal at level 3 holds a non-finite value"):
         analyze(SpaceSpec(0, 2.0), HermiteSignal(4, data), 2)
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflow_past_the_first_block_is_a_named_error():
+    # the finest step has 2 * _BLOCK coarse rows, so two blocks; the bad row is in the second
+    spec, rows = SpaceSpec(0, 2.0), _BLOCK + 100
+    data = np.zeros((4 * _BLOCK, 3))
+    data[2 * rows, 2] = 1e308  # D^-1 scales component 2 by 4
+    with pytest.raises(ValueError, match="HermiteSignal at level 11 holds a non-finite value"):
+        analyze(spec, HermiteSignal(12, data), 2)
+    # constants are reproduced, so level 11 stays finite; its prediction plus a detail overflows
+    coarse = np.zeros((_BLOCK, 3))
+    coarse[:, 0] = 1e308
+    finest = np.zeros((2 * _BLOCK, 3))
+    finest[rows, 0] = 1e308
+    details = [HermiteSignal(11, finest), HermiteSignal(10, np.zeros((_BLOCK, 3)))]
+    with pytest.raises(ValueError, match="HermiteSignal at level 12 holds a non-finite value"):
+        synthesize(spec, HermiteSignal(10, coarse), details)
+
+
+def test_transform_outputs_are_read_only_and_own_their_memory():
+    spec = SpaceSpec(0, 2.0)
+    data = np.random.default_rng(5).uniform(-1.0, 1.0, (64, 3))
+    for levels in (0, 3):
+        coarse, details = analyze(spec, HermiteSignal(8, data), levels)
+        rec = synthesize(spec, coarse, details)
+        report = compress(spec, HermiteSignal(8, data), levels, 1e-3)
+        outputs = [coarse.data, rec.data, report.reconstruction.data] + [d.data for d in details]
+        for i, out in enumerate(outputs):
+            assert not out.flags.writeable
+            assert not np.shares_memory(out, data)
+            # with no levels, synthesis hands back its (read-only) coarse input
+            assert levels == 0 or not any(np.shares_memory(out, other) for other in outputs[i + 1 :])
+    coarse_in = np.array(coarse.data)
+    detail_in = [np.array(d.data) for d in details]
+    rec = synthesize(spec, HermiteSignal(5, coarse_in), [HermiteSignal(d.level, x) for d, x in zip(details, detail_in)])
+    assert not rec.data.flags.writeable
+    assert not any(np.shares_memory(rec.data, x) for x in [coarse_in, *detail_in])
+
+
+@pytest.mark.parametrize("lam", [0.0, 2.0, 8.0])
+@pytest.mark.parametrize("nodes", [2**16, 16 * 2053])
+def test_transform_is_bit_identical_to_unblocked_reference(lam, nodes):
+    # depth 4: the finest coarse level has 2^15 rows (a multiple of _BLOCK)
+    # or 8 * 2053 rows (two blocks, the last one longer)
+    spec, level, depth = SpaceSpec(0, lam), 16, 4
+    rng = np.random.default_rng(nodes)
+    for data in (rng.uniform(-1.0, 1.0, (nodes, 3)), rng.uniform(-1.0, 1.0, (nodes, 3)) * [1.0, 1e3, 1e6]):
+        data[::97] *= -0.0  # signed zeros: the D^-1 product turns -0.0 into +0.0
+        coarse, details = analyze(spec, HermiteSignal(level, data), depth)
+        want_coarse, want_details = analyze_roll(spec, level, data, depth)
+        assert np.array_equal(coarse.data.view(np.int64), want_coarse.view(np.int64))
+        for got, want in zip(details, want_details, strict=True):
+            assert np.array_equal(got.data.view(np.int64), want.view(np.int64))
+        rec = synthesize(spec, coarse, details)
+        want = synthesize_roll(spec, level - depth, want_coarse, want_details)
+        assert np.array_equal(rec.data.view(np.int64), want.view(np.int64))
 
 
 def test_transform_data_starts_at_node_zero():

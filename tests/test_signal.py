@@ -99,7 +99,7 @@ def test_sample_function_matches_scalar_reference(factory, level, start, count, 
         [[2.0 ** (-level * j) * f(2.0 ** (-level) * k, j) for j in range(dim)]
          for k in range(start, start + count)]
     )
-    assert got.shape == (count, dim)
+    assert got.shape == (count, dim) and not got.flags.writeable
     assert np.all(np.abs(got - ref) <= 2 * np.spacing(np.abs(ref)))
 
 
@@ -197,6 +197,25 @@ def test_malformed_metadata(tmp_path):
     p.write_text("# level=x dim=3\nk,f0,f1,f2\n0,1,0,0\n")
     with pytest.raises(SignalFormatError, match="integer"):
         read_signal(p)
+
+
+def test_untrusted_metadata_gives_short_errors(tmp_path):
+    # the expected header has dim + 1 fields; a 40-byte file must not make 10^7 of them
+    p = tmp_path / "bad.csv"
+    p.write_text("# level=0 dim=10000000\nk,f0,f1,f2\n0,1,0,0\n")
+    with pytest.raises(SignalFormatError, match="line 2") as info:
+        read_signal(p)
+    assert len(str(info.value)) < 200
+    p.write_text("# level=0 dim=3\nk,f0,f1,f3\n0,1,0,0\n")
+    with pytest.raises(SignalFormatError, match="line 2: expected header 'k,f0,...,f2', got 'k,f0,f1,f3'"):
+        read_signal(p)
+    p.write_text("# level=0 dim=0\nk,\n0,\n")
+    with pytest.raises(SignalFormatError, match="line 1: dim must be >= 1, got 0"):
+        read_signal(p)
+    p.write_text("# " + "x" * 10**6 + "\nk,f0\n0,1\n")
+    with pytest.raises(SignalFormatError, match="line 1: malformed metadata token 'xxx") as info:
+        read_signal(p)
+    assert len(str(info.value)) < 200
 
 
 def _row_by_row(sig):

@@ -10,8 +10,10 @@ from hermwave.signal import HermiteSignal, exponential, monomial, sample_functio
 from hermwave.subdivision import (
     A_MINUS_1,
     _mask_symbol,
+    _BLOCK,
+    _lift,
     _piece_coeffs,
-    _predict,
+    _refine,
     check_spectral_condition,
     closed_form_deviation,
     closed_form_phi,
@@ -203,18 +205,28 @@ def test_polynomials_not_reproduced():
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.5, 2.0, 4.0, 8.0])
-@pytest.mark.parametrize("nodes", [1, 2, 3, 4, 8, 1024])
+@pytest.mark.parametrize(
+    "nodes", [1, 2, 3, 4, 8, 1024, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3]
+)
 def test_predict_is_bit_identical_to_roll_formula(lam, nodes):
-    # a wrap row computed by its own product differs in the last bit on
-    # some of these inputs, so they guard the operand layout of _predict
+    # a wrap row or a one-row block computed by its own product differs in
+    # the last bit on some of these inputs, so they guard the operand layout
+    # of the blocked lifting kernel, in refinement and in analysis
     rng = np.random.default_rng(nodes)
     for scale in ([1.0, 1.0, 1.0], [1.0, 1e3, 1e6]):
         for _ in range(8):
             coarse = rng.uniform(-1.0, 1.0, (nodes, 3)) * scale
+            odd = rng.uniform(-1.0, 1.0, (nodes, 3)) * scale
             for level in (0, 3):
                 mask = make_mask(SpaceSpec(0, lam), level)
-                got = _predict(mask, coarse).view(np.int64)
-                assert np.array_equal(got, predict_roll(mask, coarse).view(np.int64))
+                want = predict_roll(mask, coarse)
+                assert np.array_equal(_refine(mask, coarse)[1::2].view(np.int64), want.view(np.int64))
+                fine = np.empty((2 * nodes, 3))
+                fine[0::2], fine[1::2] = coarse @ D.T, odd
+                got_coarse, got_details = np.empty((nodes, 3)), np.empty((nodes, 3))
+                _lift(mask, got_coarse, fine, got_details, analysis=True)
+                assert np.array_equal(got_coarse.view(np.int64), coarse.view(np.int64))
+                assert np.array_equal(got_details.view(np.int64), (odd - want).view(np.int64))
 
 
 def test_subdivide_contracts():
