@@ -231,9 +231,9 @@ def write_signal(signal: HermiteSignal, dest) -> None:
         fh.writelines(csv_blocks(signal.data, range(signal.start, signal.start + len(signal))))
 
 
-def _prefix(text: str, limit: int = 40) -> str:
-    """``text`` cut to ``limit`` characters, for quoting untrusted input in an error."""
-    return text if len(text) <= limit else text[:limit] + "..."
+def _prefix(text: str) -> str:
+    """``text`` cut to 40 characters, for quoting untrusted input in an error."""
+    return text if len(text) <= 40 else text[:40] + "..."
 
 
 def _check_rows(path, lines: list[str], dim: int) -> None:
