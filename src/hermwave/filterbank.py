@@ -36,7 +36,16 @@ import numpy as np
 from .annihilator import Annihilator, SpaceSpec, inverse_dilation_matrix
 from .laurent import MatLaurent, even_part_dev, max_coeff_dev
 from .signal import HermiteSignal, _check_finite, sample_function
-from .subdivision import LevelMask, _check_family, _lift, _refine, interpolatory_residual, make_mask
+from .subdivision import (
+    LevelMask,
+    _check_family,
+    _check_level,
+    _lift,
+    _lift_taps,
+    _refine,
+    interpolatory_residual,
+    make_mask,
+)
 
 #: Residual bound for accepting a bank as biorthogonal.
 BIORTHO_TOL = 1e-12
@@ -233,7 +242,7 @@ def analyze(
         for step in range(1, levels + 1):
             shape = (len(c) // 2, spec.dim)
             fine, c, d = c, np.empty(shape), np.empty(shape)
-            _lift(make_mask(spec, n - step), c, fine, d, analysis=True)
+            _lift(_lift_taps(spec.frequency_at(n - step)), c, fine, d, analysis=True)
             _check_finite(n - step, d)
             details.append(HermiteSignal._computed(n - step, d))
     _check_finite(n - levels, c)
@@ -249,18 +258,21 @@ def synthesize(
         level, nodes = coarse.level + step, len(coarse) << step
         if (det.level, len(det)) != (level, nodes):
             raise ValueError(f"detail level {det.level}, {len(det)} rows: expected {level}, {nodes} rows")
+    if details:
+        _check_level(coarse.level)
     return _refine_levels(spec, coarse.level, coarse.data, [det.data for det in details])
 
 
 def _refine_levels(spec: SpaceSpec, level: int, c: np.ndarray, details: list[np.ndarray]) -> HermiteSignal:
     """The synthesis loop on checked arrays: refine ``c`` from ``level`` by each detail array.
 
-    The result is checked once for an overflow; it shares no memory with
+    The spec is in the mask family and ``level`` is not negative.  The
+    result is checked once for an overflow; it shares no memory with
     ``details``, nor with ``c`` unless there are no details.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # _check_finite names an overflow
         for d in reversed(details):
-            c = _refine(make_mask(spec, level), c, d)
+            c = _refine(_lift_taps(spec.frequency_at(level)), c, d)
             level += 1
     _check_finite(level, c)
     return HermiteSignal._computed(level, c)
@@ -320,10 +332,12 @@ def transform_to_json_dict(
 
 
 def _finite_block(block, name: str) -> np.ndarray:
-    """A coefficient block as floats; ``json`` parses ``NaN`` and ``Infinity``."""
-    data = np.asarray(block, dtype=float)
+    """A coefficient block as a fresh 2-D float array; ``json`` parses ``NaN`` and ``Infinity``."""
+    data = np.array(block, dtype=float)
     if not np.isfinite(data).all():
         raise ValueError(f"coefficient file: non-finite value in the {name} block")
+    if data.ndim != 2:
+        raise ValueError(f"signal data must be 2-D, got shape {data.shape}")
     return data
 
 
@@ -332,9 +346,9 @@ def transform_from_json_dict(d: dict) -> tuple[SpaceSpec, int, HermiteSignal, li
     spec = SpaceSpec(int(d["spec"]["p"]), d["spec"]["lambda"])
     entry = int(d["entry_level"])
     levels = int(d["L"])
-    coarse = HermiteSignal(entry - levels, _finite_block(d["coarse"], "coarse"))
+    coarse = HermiteSignal._computed(entry - levels, _finite_block(d["coarse"], "coarse"))
     details = [
-        HermiteSignal(entry - step, _finite_block(block, f"details[{step - 1}] (level {entry - step})"))
+        HermiteSignal._computed(entry - step, _finite_block(block, f"details[{step - 1}] (level {entry - step})"))
         for step, block in enumerate(d["details"], start=1)
     ]
     return spec, entry, coarse, details

@@ -375,6 +375,51 @@ def test_transform_is_bit_identical_to_unblocked_reference(lam, nodes):
         assert np.array_equal(rec.data.view(np.int64), want.view(np.int64))
 
 
+@pytest.mark.parametrize("lam", [0.0, 2.0, 8.0])
+@pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("rows", [1, 2])
+def test_transform_down_to_one_or_two_coarse_rows_is_bit_identical(lam, depth, rows):
+    # a level of one coarse row sends its products to BLAS gemv, whose last
+    # bits depend on the operand layout; two rows take the general product.
+    # The scale D^depth keeps the coarse components of one magnitude, where
+    # a last-bit change shows most often.
+    spec, level, nodes = SpaceSpec(0, lam), depth, rows << depth
+    rng = np.random.default_rng([depth, rows])
+    for scale in (0.5 ** (depth * np.arange(3.0)), [1.0, 1e3, 1e6]):
+        for _ in range(8):
+            data = rng.uniform(-1.0, 1.0, (nodes, 3)) * scale
+            coarse, details = analyze(spec, HermiteSignal(level, data), depth)
+            want_coarse, want_details = analyze_roll(spec, level, data, depth)
+            assert len(coarse) == rows
+            assert np.array_equal(coarse.data.view(np.int64), want_coarse.view(np.int64))
+            for got, want in zip(details, want_details, strict=True):
+                assert np.array_equal(got.data.view(np.int64), want.view(np.int64))
+            rec = synthesize(spec, coarse, details)
+            want = synthesize_roll(spec, 0, want_coarse, want_details)
+            assert np.array_equal(rec.data.view(np.int64), want.view(np.int64))
+
+
+def test_transforms_check_the_spec_and_levels_once_at_the_boundary(monkeypatch):
+    # the per-level loops take cached operands and build no LevelMask
+    def no_mask(spec, level):
+        raise AssertionError("make_mask called by a transform")
+
+    for module in ("hermwave.filterbank", "hermwave.subdivision"):
+        monkeypatch.setattr(f"{module}.make_mask", no_mask)
+    spec, sig = SpaceSpec(0, 2.0), HermiteSignal(4, np.ones((16, 3)))
+    coarse, details = analyze(spec, sig, 4)
+    synthesize(spec, coarse, details)
+    compress(spec, sig, 4, 1e-8)
+    with pytest.raises(ValueError, match=r"^level must be >= 0, got -1$"):
+        synthesize(spec, HermiteSignal(-1, np.zeros((4, 3))), [HermiteSignal(-1, np.zeros((4, 3)))])
+    assert synthesize(spec, HermiteSignal(-1, np.ones((4, 3))), []).level == -1
+    for bad in (SpaceSpec(1, 2.0), SpaceSpec(0)):
+        with pytest.raises(ValueError, match=rf"\(p=0, one frequency pair\) family; got p={bad.p}, lambda={bad.lam}$"):
+            compress(bad, sig, 2, 1e-8)
+    with pytest.raises(ValueError, match=r"^level underflow: entry level 4 with 5 steps$"):
+        compress(spec, HermiteSignal(4, np.ones((32, 3))), 5, 1e-8)
+
+
 def test_transform_data_starts_at_node_zero():
     spec = SpaceSpec(0, 2.0)
     with pytest.raises(ValueError, match="transform data starts at node 0, got 5 at level 4"):

@@ -4,14 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hermwave.annihilator import SpaceSpec, dilation_matrix
 from hermwave.signal import HermiteSignal, exponential, monomial, sample_function
 from hermwave.subdivision import (
+    _DINV_T,
     A_MINUS_1,
     _mask_symbol,
     _BLOCK,
     _lift,
+    _lift_taps,
     _piece_coeffs,
     _refine,
     check_spectral_condition,
@@ -218,15 +222,53 @@ def test_predict_is_bit_identical_to_roll_formula(lam, nodes):
             coarse = rng.uniform(-1.0, 1.0, (nodes, 3)) * scale
             odd = rng.uniform(-1.0, 1.0, (nodes, 3)) * scale
             for level in (0, 3):
-                mask = make_mask(SpaceSpec(0, lam), level)
-                want = predict_roll(mask, coarse)
-                assert np.array_equal(_refine(mask, coarse)[1::2].view(np.int64), want.view(np.int64))
-                fine = np.empty((2 * nodes, 3))
-                fine[0::2], fine[1::2] = coarse @ D.T, odd
-                got_coarse, got_details = np.empty((nodes, 3)), np.empty((nodes, 3))
-                _lift(mask, got_coarse, fine, got_details, analysis=True)
-                assert np.array_equal(got_coarse.view(np.int64), coarse.view(np.int64))
-                assert np.array_equal(got_details.view(np.int64), (odd - want).view(np.int64))
+                _assert_lift_matches_roll(make_mask(SpaceSpec(0, lam), level), coarse, odd)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    nodes=st.integers(1, 2 * _BLOCK + 3),
+    lam=st.sampled_from([0.0, 0.5, 2.0, 4.0, 8.0]),
+    level=st.integers(0, 3),
+    scale=st.sampled_from([[1.0, 1.0, 1.0], [1.0, 1e3, 1e6]]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lift_matches_roll_formula_at_any_row_count(nodes, lam, level, scale, seed):
+    rng = np.random.default_rng(seed)
+    coarse = rng.uniform(-1.0, 1.0, (nodes, 3)) * scale
+    odd = rng.uniform(-1.0, 1.0, (nodes, 3)) * scale
+    _assert_lift_matches_roll(make_mask(SpaceSpec(0, lam), level), coarse, odd)
+
+
+def _assert_lift_matches_roll(mask, coarse: np.ndarray, odd: np.ndarray) -> None:
+    """``_refine`` and ``_lift(analysis=True)`` on the cached taps give the bits of ``predict_roll``."""
+    nodes = len(coarse)
+    taps = _lift_taps(mask.spec.frequency_at(mask.level))
+    want = predict_roll(mask, coarse)
+    assert np.array_equal(_refine(taps, coarse)[1::2].view(np.int64), want.view(np.int64))
+    fine = np.empty((2 * nodes, 3))
+    fine[0::2], fine[1::2] = coarse @ D.T, odd
+    got_coarse, got_details = np.empty((nodes, 3)), np.empty((nodes, 3))
+    _lift(taps, got_coarse, fine, got_details, analysis=True)
+    assert np.array_equal(got_coarse.view(np.int64), coarse.view(np.int64))
+    assert np.array_equal(got_details.view(np.int64), (odd - want).view(np.int64))
+
+
+def test_lift_taps_are_shared_c_contiguous_and_read_only():
+    taps = _lift_taps(0.5)
+    # levels of equal scaled frequency share one tuple, as they share the symbol
+    assert _lift_taps(SpaceSpec(0, 2.0).frequency_at(2)) is taps
+    assert _lift_taps(SpaceSpec(0, 4).frequency_at(3)) is taps
+    assert _lift_taps(SpaceSpec(0, 2.0).frequency_at(1)) is not taps
+    symbol = _mask_symbol(0.5)
+    for k, t in zip((0, 1, -1), taps, strict=True):
+        assert t.flags.c_contiguous
+        assert np.array_equal(t, symbol.tap(k).T)
+    for t in (*taps, _DINV_T):
+        assert t.flags.c_contiguous
+        with pytest.raises(ValueError, match="read-only"):
+            t[0, 0] = 1.0
+    assert np.array_equal(_DINV_T, np.diag([1.0, 2.0, 4.0]))
 
 
 def test_subdivide_contracts():
