@@ -113,6 +113,8 @@ def make_taylor(d: int) -> MatLaurent:
     """
     if d < 0:
         raise ValueError("order must be nonnegative")
+    if d > 170:
+        raise ValueError(f"order must be at most 170 (171! exceeds the largest double), got {d}")
     h0 = np.zeros((d + 1, d + 1))
     for i in range(d + 1):
         for j in range(i, d + 1):
@@ -186,11 +188,19 @@ def _x_m_sinh(mu: float) -> float:
     return (mu - math.sinh(mu)) / mu**3
 
 
+def _h0_core(at1: np.ndarray) -> np.ndarray:
+    """The ``p = 0`` constant tap, from the Hermite data ``at1`` at ``t = 1``.
+
+    Minus the data of ``{1, sinh(mu t)/mu, (cosh(mu t) - 1)/mu^2}``, one
+    function per column (``0.0 - x`` rather than ``-x`` keeps the zero
+    entries ``+0.0``).
+    """
+    return 0.0 - at1[[0, 4, 5]].T
+
+
 def _h0_matrix(p: int, mu: float) -> np.ndarray:
     """Constant tap of the cancellation-operator symbol at scaled frequency mu."""
-    # p = 0: minus the t = 1 Hermite data of {1, sinh(mu t)/mu, (cosh(mu t) - 1)/mu^2},
-    # one function per column (0.0 - x rather than -x keeps the zero entries +0.0)
-    core = 0.0 - _hermite_data(mu, 1.0)[[0, 4, 5]].T
+    core = _h0_core(_hermite_data(mu, 1.0))
     if p == 0:
         return core
     # p = 1: Taylor row on top, the p = 0 block lower-right.
@@ -207,7 +217,8 @@ def make_annihilator(spec: SpaceSpec, level: int) -> Annihilator:
     replaced by ``mu = 2^-level * lam``.  Purely polynomial specs (and
     scaled frequencies below :data:`TAYLOR_FALLBACK_MU`, where all
     entries are within roundoff of their limits) delegate to
-    :func:`make_taylor`.
+    :func:`make_taylor`.  The ``p = 0`` symbol is built once per scaled
+    frequency and shared (``subdivision._scaled``).
     """
     if spec.lam is not None and spec.p not in (0, 1):
         raise ValueError(
@@ -215,6 +226,10 @@ def make_annihilator(spec: SpaceSpec, level: int) -> Annihilator:
             f"implemented for p in {{0, 1}}, got p={spec.p}"
         )
     mu = spec.frequency_at(level)
+    if spec.lam is not None and spec.p == 0:
+        from .subdivision import _scaled  # subdivision imports this module
+
+        return Annihilator(level, spec, _scaled(mu).h)
     if mu < TAYLOR_FALLBACK_MU:
         return Annihilator(level, spec, make_taylor(spec.d))
     dim = spec.dim
@@ -234,12 +249,11 @@ def check_eigvec_condition(ann: Annihilator) -> float:
     if mu == 0.0:
         return 0.0
     d = ann.dim - 1
-    res = 0.0
+    res = []
     for sign in (+1.0, -1.0):
         v = np.array([(sign * mu) ** j for j in range(d + 1)])
-        out = ann.symbol.eval(math.exp(-sign * mu)) @ v
-        res = max(res, float(np.max(np.abs(out))))
-    return res
+        res.append(np.max(np.abs(ann.symbol.eval(math.exp(-sign * mu)) @ v)))
+    return float(np.max(res))  # unlike max(), a NaN residual stays NaN
 
 
 def check_two_level_identity(ann_n: Annihilator, ann_n1: Annihilator) -> float:

@@ -30,6 +30,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,11 +39,12 @@ from .laurent import MatLaurent, even_part_dev, max_coeff_dev
 from .signal import HermiteSignal, _check_finite, sample_function
 from .subdivision import (
     LevelMask,
+    _Scaled,
     _check_family,
     _check_level,
     _lift,
-    _lift_taps,
     _refine,
+    _scaled,
     interpolatory_residual,
     make_mask,
 )
@@ -56,7 +58,9 @@ class FilterBank:
     """The four symbols of one level of the two-channel transform.
 
     ``A``/``B`` are the synthesis low/high-pass, ``A_tilde``/``B_tilde``
-    the analysis low/high-pass.
+    the analysis low/high-pass.  A bank from :func:`build` also holds the
+    two residuals ``build`` checked; a bank built by hand, or by
+    ``dataclasses.replace``, holds None there.
     """
 
     level: int
@@ -65,6 +69,10 @@ class FilterBank:
     B: MatLaurent
     A_tilde: MatLaurent
     B_tilde: MatLaurent
+    interpolatory_residual: float | None = field(default=None, init=False, repr=False, compare=False)
+    biorthogonality_residual: float | None = field(default=None, init=False, repr=False, compare=False)
+    #: the mask's record (``subdivision._scaled``), which holds the quotients
+    _scaled: _Scaled | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -91,24 +99,47 @@ class FactorizationPair:
     residual_S: float
 
 
+class _Bank(NamedTuple):
+    """The bank of one mask symbol and the residuals :func:`build` checks."""
+
+    A: MatLaurent
+    B: MatLaurent
+    A_tilde: MatLaurent
+    B_tilde: MatLaurent
+    interpolatory: float
+    biorthogonality: float
+
+
 def build(mask: LevelMask) -> FilterBank:
     """Construct the biorthogonal bank of an interpolatory mask.
 
     Rejects non-interpolatory masks (with the residual in the message)
     and verifies the four biorthogonality identities before returning.
+    A mask from :func:`make_mask` reads its bank, built and checked once
+    per scaled frequency, from its record.
     """
-    res = interpolatory_residual(mask.symbol)
+    rec = mask._scaled
+    bank = _bank(mask.symbol) if rec is None else rec.bank
+    fb = FilterBank(mask.level, mask.spec, bank.A, bank.B, bank.A_tilde, bank.B_tilde)
+    # the init=False fields, past the frozen __setattr__
+    fb.__dict__.update(
+        interpolatory_residual=bank.interpolatory, biorthogonality_residual=bank.biorthogonality, _scaled=rec
+    )
+    return fb
+
+
+def _bank(a: MatLaurent) -> _Bank:
+    """The bank of the mask symbol ``a``, with :func:`build`'s checks and messages."""
+    res = interpolatory_residual(a)
     if res > 1e-10:
         raise ValueError(f"mask is not interpolatory: residual {res:.3e}")
-    dim, a = mask.dim, mask.symbol
-    dinv = MatLaurent.from_taps(dim, {0: inverse_dilation_matrix(dim - 1)})
-    b = MatLaurent.identity(dim, power=1)
+    dinv = MatLaurent.from_taps(a.dim, {0: inverse_dilation_matrix(a.dim - 1)})
+    b = MatLaurent.identity(a.dim, power=1)
     b_tilde = b.mul(dinv).mul(a.involution().negate_arg())
-    fb = FilterBank(mask.level, mask.spec, a, b, dinv, b_tilde)
-    res = check_biorthogonality(fb)
-    if res > BIORTHO_TOL:
-        raise ValueError(f"constructed bank fails biorthogonality: residual {res:.3e}")
-    return fb
+    bio = _biorthogonality(a, b, dinv, b_tilde)
+    if bio > BIORTHO_TOL:
+        raise ValueError(f"constructed bank fails biorthogonality: residual {bio:.3e}")
+    return _Bank(a, b, dinv, b_tilde, res, bio)
 
 
 def build_at(spec: SpaceSpec, level: int) -> FilterBank:
@@ -121,15 +152,21 @@ def check_biorthogonality(fb: FilterBank) -> float:
 
     ``P#(z) Q(z) + P#(-z) Q(-z)`` is twice the even-power part of the
     product ``P# Q``, so each identity is one product and one parity check.
+    A NaN coefficient gives a NaN residual.
     """
-    eye, zero = np.eye(fb.dim), np.zeros((fb.dim, fb.dim))
+    return _biorthogonality(fb.A, fb.B, fb.A_tilde, fb.B_tilde)
+
+
+def _biorthogonality(a: MatLaurent, b: MatLaurent, a_tilde: MatLaurent, b_tilde: MatLaurent) -> float:
+    eye, zero = np.eye(a.dim), np.zeros((a.dim, a.dim))
     pairs = [
-        (fb.A_tilde, fb.A, eye),
-        (fb.A_tilde, fb.B, zero),
-        (fb.B_tilde, fb.A, zero),
-        (fb.B_tilde, fb.B, eye),
+        (a_tilde, a, eye),
+        (a_tilde, b, zero),
+        (b_tilde, a, zero),
+        (b_tilde, b, eye),
     ]
-    return max(even_part_dev(p.involution().mul(q), target) for p, q, target in pairs)
+    # unlike max(), np.max keeps a NaN residual
+    return float(np.max([even_part_dev(p.involution().mul(q), target) for p, q, target in pairs]))
 
 
 def check_vanishing_moments(fb: FilterBank, f) -> float:
@@ -154,14 +191,18 @@ def check_vanishing_moments(fb: FilterBank, f) -> float:
     return float(np.max(np.abs(acc)))
 
 
-def compute_R(fb: FilterBank, ann_n: Annihilator, ann_n1: Annihilator) -> MatLaurent:
-    """Quotient of ``H[n+1](z) A[n](z) = R[n](z) H[n](z^2)``; ``A`` is ``fb.A``."""
+def _check_bracket(fb: FilterBank, ann_n: Annihilator, ann_n1: Annihilator) -> None:
     if ann_n.level != fb.level or ann_n1.level != fb.level + 1:
         raise ValueError(
             f"operator levels ({ann_n.level}, {ann_n1.level}) must bracket "
             f"bank level {fb.level}"
         )
-    return ann_n1.symbol.mul(fb.A).divide_right(ann_n.symbol.upsample())
+
+
+def compute_R(fb: FilterBank, ann_n: Annihilator, ann_n1: Annihilator) -> MatLaurent:
+    """Quotient of ``H[n+1](z) A[n](z) = R[n](z) H[n](z^2)``; ``A`` is ``fb.A``."""
+    _check_bracket(fb, ann_n, ann_n1)
+    return _subdivision_quotient(fb.A, ann_n.symbol, ann_n1.symbol)[0]
 
 
 def compute_S(
@@ -178,24 +219,46 @@ def compute_S(
         raise ValueError(
             f"operator level {ann_n1.level} must be bank level {fb.level} + 1"
         )
-    s = fb.B_tilde.involution().divide_right(ann_n1.symbol)
+    return _wavelet_quotient(fb, ann_n1.symbol, cross_check_R)[0]
+
+
+def _subdivision_quotient(a: MatLaurent, h_n: MatLaurent, h_n1: MatLaurent) -> tuple[MatLaurent, float]:
+    """``R`` of :func:`compute_R` and its factorization residual."""
+    return h_n1.mul(a)._divide(h_n.upsample())
+
+
+def _wavelet_quotient(fb, h_n1: MatLaurent, cross_check_R: MatLaurent | None) -> tuple[MatLaurent, float]:
+    """``S`` of :func:`compute_S` and its factorization residual; ``fb`` is a bank or a ``_Bank``."""
+    s, res = fb.B_tilde.involution()._divide(h_n1)
     if cross_check_R is not None:
-        h_neg = ann_n1.symbol.negate_arg()
-        lhs = MatLaurent.identity(fb.dim, power=1).mul(h_neg).mul(s).scale(-1.0)
-        res = max_coeff_dev(lhs, cross_check_R.negate_arg().mul(fb.A_tilde).mul(h_neg))
-        if res > 1e-8:
+        h_neg = h_n1.negate_arg()
+        lhs = MatLaurent.identity(h_n1.dim, power=1).mul(h_neg).mul(s).scale(-1.0)
+        dev = max_coeff_dev(lhs, cross_check_R.negate_arg().mul(fb.A_tilde).mul(h_neg))
+        if dev > 1e-8:
             raise ValueError(
-                f"wavelet quotient disagrees with the closed formula: {res:.3e}"
+                f"wavelet quotient disagrees with the closed formula: {dev:.3e}"
             )
-    return s
+    return s, res
 
 
 def factorization_pair(fb: FilterBank, ann_n: Annihilator, ann_n1: Annihilator) -> FactorizationPair:
-    """Both quotients of the bank ``fb`` with their factorization residuals."""
-    r = compute_R(fb, ann_n, ann_n1)
-    s = compute_S(fb, ann_n1, cross_check_R=r)
-    res_r = max_coeff_dev(ann_n1.symbol.mul(fb.A), r.mul(ann_n.symbol.upsample()))
-    res_s = max_coeff_dev(fb.B_tilde.involution(), s.mul(ann_n1.symbol))
+    """Both quotients of the bank ``fb`` with their factorization residuals.
+
+    The residuals are those of the two divisions.  A bank from
+    :func:`build` with the operators of :func:`make_annihilator` reads the
+    pair, computed once per scaled frequency, from the mask's record.
+    """
+    _check_bracket(fb, ann_n, ann_n1)
+    rec = fb._scaled
+    if rec is not None and ann_n.symbol is rec.h and ann_n1.symbol is _scaled(rec.mu / 2.0).h:
+        return rec.quotients
+    return _quotients(fb, ann_n.symbol, ann_n1.symbol)
+
+
+def _quotients(fb, h_n: MatLaurent, h_n1: MatLaurent) -> FactorizationPair:
+    """The pair of :func:`factorization_pair`; ``fb`` is a bank or a ``_Bank``."""
+    r, res_r = _subdivision_quotient(fb.A, h_n, h_n1)
+    s, res_s = _wavelet_quotient(fb, h_n1, r)
     return FactorizationPair(r, s, res_r, res_s)
 
 
@@ -242,7 +305,7 @@ def analyze(
         for step in range(1, levels + 1):
             shape = (len(c) // 2, spec.dim)
             fine, c, d = c, np.empty(shape), np.empty(shape)
-            _lift(_lift_taps(spec.frequency_at(n - step)), c, fine, d, analysis=True)
+            _lift(_scaled(spec.frequency_at(n - step)).taps, c, fine, d, analysis=True)
             _check_finite(n - step, d)
             details.append(HermiteSignal._computed(n - step, d))
     _check_finite(n - levels, c)
@@ -272,7 +335,7 @@ def _refine_levels(spec: SpaceSpec, level: int, c: np.ndarray, details: list[np.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # _check_finite names an overflow
         for d in reversed(details):
-            c = _refine(_lift_taps(spec.frequency_at(level)), c, d)
+            c = _refine(_scaled(spec.frequency_at(level)).taps, c, d)
             level += 1
     _check_finite(level, c)
     return HermiteSignal._computed(level, c)

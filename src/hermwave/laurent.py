@@ -13,7 +13,8 @@ Conventions
   the boundary: :meth:`MatLaurent.taps` and :meth:`MatLaurent.from_taps`
   (and through them the JSON pair).
 * A tap whose max-abs entry is below :data:`TRIM_TOL` counts as zero: it
-  is zeroed, and zero end taps are trimmed from the support window.
+  is zeroed, and zero end taps are trimmed from the support window.  A
+  tap holding a NaN is not below it, so a NaN is never trimmed away.
 * Two symbols are equal when their coefficients agree entrywise within
   :data:`EQ_TOL` over the union of their windows.
 
@@ -77,6 +78,18 @@ class MatLaurent:
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
+    @classmethod
+    def _computed(cls, dim: int, lo: int, hi: int, coeffs: np.ndarray) -> "MatLaurent":
+        """A symbol over ``coeffs``, a C-contiguous float array of the window's shape just computed.
+
+        Neither copies nor checks, as ``HermiteSignal._computed``: nothing
+        else writes to ``coeffs``, which becomes read-only.
+        """
+        coeffs.setflags(write=False)
+        sym = object.__new__(cls)
+        sym.__dict__.update(dim=dim, lo=lo, hi=hi, coeffs=coeffs)  # past the frozen __setattr__
+        return sym
+
     # ------------------------------------------------------------------
     # constructors
     # ------------------------------------------------------------------
@@ -117,7 +130,7 @@ class MatLaurent:
 
     def taps(self) -> dict[int, np.ndarray]:
         """Nonzero coefficients as a ``{power: matrix}`` map."""
-        kept = np.max(np.abs(self.coeffs), axis=(1, 2)) >= TRIM_TOL
+        kept = ~(np.max(np.abs(self.coeffs), axis=(1, 2)) < TRIM_TOL)  # keeps a NaN tap
         return {self.lo + int(i): self.coeffs[i] for i in np.flatnonzero(kept)}
 
     @property
@@ -218,6 +231,10 @@ class MatLaurent:
             If the windows admit no quotient or the residual exceeds
             ``tol`` ("not divisible: spectral condition violated").
         """
+        return self._divide(divisor, tol)[0]
+
+    def _divide(self, divisor: "MatLaurent", tol: float = DIVIDE_TOL) -> tuple["MatLaurent", float]:
+        """:meth:`divide_right` and its residual ``max_coeff_dev(quotient * divisor, self)``."""
         if self.dim != divisor.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {divisor.dim}")
         if divisor.is_zero:
@@ -242,7 +259,7 @@ class MatLaurent:
             raise DivisionError(
                 f"not divisible: spectral condition violated (residual {residual:.3e})"
             )
-        return quotient
+        return quotient, residual
 
     # ------------------------------------------------------------------
     # serialization
@@ -274,13 +291,15 @@ def _trimmed(dim: int, lo: int, coeffs: np.ndarray) -> MatLaurent:
     Zeroes every tap whose max-abs entry is below :data:`TRIM_TOL`, then
     drops the zero end taps (all taps zero gives :meth:`MatLaurent.zero`).
     """
-    kept = np.max(np.abs(coeffs), axis=(1, 2)) >= TRIM_TOL
+    kept = ~(np.max(np.abs(coeffs), axis=(1, 2)) < TRIM_TOL)  # a NaN tap is not below it
     idx = np.flatnonzero(kept)
     if not len(idx):
         return MatLaurent.zero(dim)
     first, last = int(idx[0]), int(idx[-1])
-    body = np.where(kept[:, None, None], coeffs, 0.0)[first : last + 1]
-    return MatLaurent(dim, lo + first, lo + last, body)
+    if len(idx) < len(kept):
+        coeffs = np.where(kept[:, None, None], coeffs, 0.0)
+    # every caller passes a fresh array; a transposed one (divide_right's) is copied
+    return MatLaurent._computed(dim, lo + first, lo + last, np.ascontiguousarray(coeffs[first : last + 1]))
 
 
 def max_coeff_dev(P: MatLaurent, Q: MatLaurent) -> float:

@@ -166,28 +166,29 @@ def sample_function(f, level: int, start: int, count: int, dim: int = 3) -> Herm
     """
     x = 2.0 ** (-level) * np.arange(start, start + count, dtype=float)
     data = np.empty((count, dim))
-    for j in range(dim):
-        try:
-            # a non-finite sample is reported below, by node, as an error
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    # a non-finite sample is reported below, by node, as an error
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for j in range(dim):
+            try:
                 column = f(x, j)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(
-                f"f(x, {j}) failed on an array of {count} node positions ({exc}); "
-                "f must accept numpy arrays, e.g. use np.exp instead of math.exp"
-            ) from exc
-        try:
-            data[:, j] = column
-        except (TypeError, ValueError) as exc:
-            raise ValueError(
-                f"f(x, {j}) returned shape {np.shape(column)}, which does not "
-                f"broadcast to the {count} node positions"
-            ) from exc
-        data[:, j] *= 2.0 ** (-level * j)
-        bad = np.flatnonzero(~np.isfinite(data[:, j]))
-        if bad.size:
-            k = int(bad[0])
-            raise ValueError(f"f(x, {j}) is not finite at node {start + k} (x = {float(x[k])!r})")
+            except (TypeError, ValueError) as exc:
+                raise ValueError(
+                    f"f(x, {j}) failed on an array of {count} node positions ({exc}); "
+                    "f must accept numpy arrays, e.g. use np.exp instead of math.exp"
+                ) from exc
+            try:
+                data[:, j] = column
+            except (TypeError, ValueError) as exc:
+                raise ValueError(
+                    f"f(x, {j}) returned shape {np.shape(column)}, which does not "
+                    f"broadcast to the {count} node positions"
+                ) from exc
+            data[:, j] *= 2.0 ** (-level * j)
+    if not np.isfinite(data).all():
+        bad = ~np.isfinite(data)
+        j = int(np.flatnonzero(bad.any(axis=0))[0])
+        k = int(np.flatnonzero(bad[:, j])[0])
+        raise ValueError(f"f(x, {j}) is not finite at node {start + k} (x = {float(x[k])!r})")
     return HermiteSignal._computed(level, data, start)
 
 

@@ -25,14 +25,24 @@ details to the latter).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .annihilator import SpaceSpec, _hermite_data, _local_basis, dilation_matrix, inverse_dilation_matrix
+from .annihilator import (
+    TAYLOR_FALLBACK_MU,
+    SpaceSpec,
+    _h0_core,
+    _hermite_data,
+    _local_basis,
+    dilation_matrix,
+    inverse_dilation_matrix,
+    make_taylor,
+)
 from .laurent import MatLaurent, even_part_dev
-from .signal import HermiteSignal, exponential, monomial, sample_function
+from .signal import HermiteSignal, _check_finite, exponential, monomial, sample_function
 
 #: The constant backward tap shared by every level and frequency.
 A_MINUS_1 = np.array(
@@ -47,7 +57,7 @@ _BLOCK = 8192
 
 #: ``(D^-1)^T`` of the three-component masks, the analysis low-pass.  A
 #: matmul, not an elementwise scaling: it turns ``-0.0`` into ``+0.0``.
-#: C-contiguous and read-only, like the cached taps of :func:`_lift_taps`.
+#: C-contiguous and read-only, like the cached taps of :class:`_Scaled`.
 _DINV_T = np.ascontiguousarray(inverse_dilation_matrix(2).T)
 _DINV_T.setflags(write=False)
 
@@ -63,6 +73,9 @@ class LevelMask:
     level: int
     spec: SpaceSpec
     symbol: MatLaurent
+    #: The record ``symbol`` was read from (set by :func:`make_mask`); None
+    #: on a mask built by hand, which ``dataclasses.replace`` also gives.
+    _scaled: _Scaled | None = field(default=None, init=False, repr=False, compare=False)
 
     def tap(self, k: int) -> np.ndarray:
         return self.symbol.tap(k)
@@ -109,7 +122,10 @@ def make_mask(spec: SpaceSpec, level: int) -> LevelMask:
     """
     _check_family(spec)
     _check_level(level)
-    return LevelMask(level, spec, _mask_symbol(spec.frequency_at(level)))
+    rec = _scaled(spec.frequency_at(level))
+    mask = LevelMask(level, spec, rec.mask)
+    object.__setattr__(mask, "_scaled", rec)
+    return mask
 
 
 def _check_family(spec: SpaceSpec) -> None:
@@ -126,37 +142,98 @@ def _check_level(level: int) -> None:
 
 
 @lru_cache(maxsize=256)
-def _mask_symbol(mu: float) -> MatLaurent:
-    """The mask symbol at scaled frequency ``mu``, solved and assembled once.
+def _scaled(mu: float) -> _Scaled:
+    """The record of scaled frequency ``mu``, built once.
 
-    Every level and spec with the same ``mu`` shares the returned symbol;
-    its coefficients (and so its ``tap`` views) are read-only.  A failed
-    solve raises and is not cached.
+    Every level and spec with the same ``mu`` shares it.  Where ``(mu/2)^2``
+    leaves the normal range the local basis divides by zero or loses
+    bits, and the stationary record (``mu = 0``) is exact to the last bit.
     """
-    d = dilation_matrix(2)
-    # row r: the Hermite data of basis function r at 0 and 1, and D times it at 1/2
-    m = np.hstack((_hermite_data(mu, 0.0), _hermite_data(mu, 1.0)))
-    rhs = _hermite_data(mu, 0.5) @ d.T
-    if np.linalg.cond(m) > COND_LIMIT:
-        raise ValueError(
-            f"interpolation system ill conditioned at scaled frequency {mu}"
+    if mu > 0.0 and (mu / 2.0) ** 2 < sys.float_info.min:
+        return _scaled(0.0)
+    return _Scaled(mu)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+class _Scaled:
+    """What every level of scaled frequency ``mu = 2^-n lam`` shares.
+
+    The Hermite data of the local basis at 0, 1/2 and 1 are evaluated on
+    construction (``ValueError`` where they overflow, and then nothing is
+    cached).  Every other attribute is derived on first use and kept; a
+    derivation that raises is tried again on the next use.  Every array
+    is read-only.  The objects built from a record (masks, banks,
+    operators) carry the caller's level and spec.
+    """
+
+    def __init__(self, mu: float):
+        self.mu = mu
+        self.at0, self.at1, self.at_half = (_read_only(_hermite_data(mu, t)) for t in (0.0, 1.0, 0.5))
+
+    @cached_property
+    def mask(self) -> MatLaurent:
+        """The mask symbol, solved from midpoint Hermite interpolation (see :func:`make_mask`)."""
+        d = dilation_matrix(2)
+        # row r: the Hermite data of basis function r at 0 and 1, and D times it at 1/2
+        m = np.hstack((self.at0, self.at1))
+        rhs = self.at_half @ d.T
+        if np.linalg.cond(m) > COND_LIMIT:
+            raise ValueError(
+                f"interpolation system ill conditioned at scaled frequency {self.mu}"
+            )
+        sol = np.linalg.solve(m, rhs)
+        a1, am1 = sol[:3].T, sol[3:].T
+        if np.max(np.abs(am1 - A_MINUS_1)) > 1e-11:
+            raise AssertionError("derived mask violates the constant backward tap")
+        return MatLaurent.from_taps(3, {-1: am1, 0: d, 1: a1})
+
+    @cached_property
+    def taps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The lifting kernel's operands (:func:`_transposed_taps` of the mask)."""
+        return _transposed_taps(self.mask)
+
+    @cached_property
+    def pieces(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """``(left, right)`` local-space coefficients of the pieces of ``phi_0, phi_1, phi_2``.
+
+        Right piece on [0, 1]: the unique element of the six-dimensional
+        local space with Hermite data ``e_j`` at 0 and zero data at 1.
+        Left piece on [-1, 0]: the unique combination of ``(x+1)^{3,4,5}``
+        (the triple-zero subspace, frequency-free) with data ``e_j`` at 0.
+        """
+        # the transposed mask system: column c is basis function c's data at 0 and 1
+        m = np.hstack((self.at0, self.at1)).T
+        # x^3, x^4, x^5 are basis functions 1..3
+        return tuple(
+            (_read_only(np.linalg.solve(self.at1[1:4].T, np.eye(3)[j])),
+             _read_only(np.linalg.solve(m, np.eye(6)[j])))
+            for j in range(3)
         )
-    sol = np.linalg.solve(m, rhs)
-    a1, am1 = sol[:3].T, sol[3:].T
-    if np.max(np.abs(am1 - A_MINUS_1)) > 1e-11:
-        raise AssertionError("derived mask violates the constant backward tap")
-    return MatLaurent.from_taps(3, {-1: am1, 0: d, 1: a1})
 
+    @cached_property
+    def h(self) -> MatLaurent:
+        """The ``p = 0`` cancellation-operator symbol (:func:`~hermwave.annihilator.make_annihilator`'s)."""
+        if self.mu < TAYLOR_FALLBACK_MU:
+            return make_taylor(2)
+        return MatLaurent.from_taps(3, {-1: np.eye(3), 0: _h0_core(self.at1)})
 
-@lru_cache(maxsize=256)
-def _lift_taps(mu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The lifting kernel's operands at scaled frequency ``mu``, built once.
+    @cached_property
+    def bank(self):
+        """The bank of the mask with the residuals ``filterbank.build`` checks."""
+        from .filterbank import _bank  # filterbank imports this module
 
-    Every level and spec with the same ``mu`` shares the returned tuple,
-    as they share :func:`_mask_symbol`'s symbol.  The spec and level are
-    the caller's to check.
-    """
-    return _transposed_taps(_mask_symbol(mu))
+        return _bank(self.mask)
+
+    @cached_property
+    def quotients(self):
+        """The ``FactorizationPair`` of the bank between ``h`` and the ``h`` of ``mu / 2``."""
+        from .filterbank import _quotients  # filterbank imports this module
+
+        return _quotients(self.bank, self.h, _scaled(self.mu / 2.0).h)
 
 
 def _transposed_taps(symbol: MatLaurent) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -166,10 +243,12 @@ def _transposed_taps(symbol: MatLaurent) -> tuple[np.ndarray, np.ndarray, np.nda
     faster than with the F-ordered ``.T`` view, with the same bits for
     two rows or more.
     """
-    taps = tuple(np.ascontiguousarray(symbol.tap(k).T) for k in (0, 1, -1))
-    for t in taps:
-        t.setflags(write=False)
-    return taps
+    return tuple(_read_only(np.ascontiguousarray(symbol.tap(k).T)) for k in (0, 1, -1))
+
+
+def _taps(mask: LevelMask) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The lifting operands of ``mask``: its record's, or built from a hand-made mask's symbol."""
+    return _transposed_taps(mask.symbol) if mask._scaled is None else mask._scaled.taps
 
 
 def interpolatory_residual(symbol: MatLaurent) -> float:
@@ -194,17 +273,30 @@ def subdivide(mask: LevelMask, signal: HermiteSignal) -> HermiteSignal:
         raise ValueError(f"level mismatch: signal {signal.level} vs mask {mask.level}")
     if signal.dim != mask.dim:
         raise ValueError(f"dimension mismatch: signal {signal.dim} vs mask {mask.dim}")
-    # odd output 2(start+m)-1 = A_1 c_{m-1} + A_-1 c_m: periodic refinement of
-    # [0, c] with its first row (D 0) dropped; the zero row extends both ends
-    out = _refine(_transposed_taps(mask.symbol), np.concatenate((np.zeros((1, mask.dim)), signal.data)))[1:]
-    return HermiteSignal(signal.level + 1, out, 2 * signal.start - 1)
+    data, start = _cascade([_taps(mask)], signal.data, signal.level, signal.start)
+    return HermiteSignal._computed(signal.level + 1, data, start)
+
+
+def _cascade(steps, data: np.ndarray, level: int, start: int) -> tuple[np.ndarray, int]:
+    """The rows ``data`` (first node ``start`` at ``level``), refined by :func:`subdivide` once per taps in ``steps``.
+
+    Each step's rows are checked once, with :class:`HermiteSignal`'s
+    message for a non-finite value.  Returns the rows and their first node.
+    """
+    for taps in steps:
+        # odd output 2(start+m)-1 = A_1 c_{m-1} + A_-1 c_m: periodic refinement of
+        # [0, c] with its first row (D 0) dropped; the zero row extends both ends
+        data = _refine(taps, np.concatenate((np.zeros((1, data.shape[1])), data)))[1:]
+        level, start = level + 1, 2 * start - 1
+        _check_finite(level, data)
+    return data, start
 
 
 def subdivide_periodic(mask: LevelMask, signal: HermiteSignal) -> HermiteSignal:
     """One refinement step with periodic extension (length doubles)."""
     if signal.level != mask.level:
         raise ValueError(f"level mismatch: signal {signal.level} vs mask {mask.level}")
-    return HermiteSignal(signal.level + 1, _refine(_transposed_taps(mask.symbol), signal.data), 2 * signal.start)
+    return HermiteSignal(signal.level + 1, _refine(_taps(mask), signal.data), 2 * signal.start)
 
 
 def _refine(taps, c: np.ndarray, details: np.ndarray | None = None) -> np.ndarray:
@@ -293,17 +385,15 @@ def check_spectral_condition(
             "exp(-)": exponential(-lam),
         }
     m = max(2, math.ceil(halfwidth * 2**level))
-    masks = [make_mask(spec, level + step) for step in range(depth)]
+    steps = [_taps(make_mask(spec, level + step)) for step in range(depth)]
     # dependency cone: nodes within 2^depth - 1 of the window edge are
     # contaminated by the zero extension
     edge = 2 * (2**depth - 1)
     report = {}
     for name, f in functions.items():
-        sig = sample_function(f, level, -m, 2 * m + 1, dim=3)
-        for mask in masks:
-            sig = subdivide(mask, sig)
-        valid = sig.data[edge : len(sig) - edge]
-        exact = sample_function(f, sig.level, sig.start + edge, len(valid), dim=3)
+        data, start = _cascade(steps, sample_function(f, level, -m, 2 * m + 1, dim=3).data, level, -m)
+        valid = data[edge : len(data) - edge]
+        exact = sample_function(f, level + depth, start + edge, len(valid), dim=3)
         report[name] = float(np.max(np.abs(valid - exact.data)))
     return report
 
@@ -324,41 +414,19 @@ def render_basic_limit(
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    masks = [make_mask(spec, base_level + step) for step in range(depth)]
+    steps = [_taps(make_mask(spec, base_level + step)) for step in range(depth)]
     tables = []
     for j in range(3):
         data = np.zeros((5, 3))
         data[2, j] = 1.0
-        sig = HermiteSignal(base_level, data, start=-2)
-        for mask in masks:
-            sig = subdivide(mask, sig)
-        tables.append(sig)
-    nodes = tables[0].nodes()
+        data, start = _cascade(steps, data, base_level, -2)
+        tables.append(data)
+    nodes = start + np.arange(len(tables[0]))
     keep = np.abs(nodes) <= 2**depth
     grid = nodes[keep] * 2.0**-depth
     scale = np.array([2.0 ** (depth * i) for i in range(3)])
-    values = np.stack([sig.data[keep] * scale for sig in tables], axis=2)
+    values = np.stack([data[keep] * scale for data in tables], axis=2)
     return LimitFunctionTable(depth, grid, values)
-
-
-@lru_cache(maxsize=64)
-def _piece_coeffs(mu: float, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """Local-space coefficients of the two pieces of ``phi_j``.
-
-    Right piece on [0, 1]: the unique element of the six-dimensional
-    local space with Hermite data ``e_j`` at 0 and zero data at 1.  Left
-    piece on [-1, 0]: the unique combination of ``(x+1)^{3,4,5}`` (the
-    triple-zero subspace, frequency-free) with data ``e_j`` at 0.
-    """
-    # the transposed mask system: column c is basis function c's data at 0 and 1
-    h1 = _hermite_data(mu, 1.0)
-    m = np.hstack((_hermite_data(mu, 0.0), h1)).T
-    right = np.linalg.solve(m, np.eye(6)[j])
-    # x^3, x^4, x^5 are basis functions 1..3
-    left = np.linalg.solve(h1[1:4].T, np.eye(3)[j])
-    right.setflags(write=False)
-    left.setflags(write=False)
-    return left, right
 
 
 def closed_form_phi(spec: SpaceSpec, j: int, x, level: int = 0, derivative: int = 0):
@@ -379,12 +447,12 @@ def closed_form_phi(spec: SpaceSpec, j: int, x, level: int = 0, derivative: int 
         raise ValueError("component must be one of 0, 1, 2")
     if derivative not in (0, 1, 2):
         raise ValueError("derivative must be one of 0, 1, 2")
-    mu = spec.frequency_at(level)
-    left, right = _piece_coeffs(mu, j)
+    rec = _scaled(spec.frequency_at(level))
+    left, right = rec.pieces[j]
     x = np.asarray(x, dtype=float)
     out = np.zeros(x.shape)
     pieces = (
-        ((x >= 0.0) & (x < 1.0), 0.0, right, _local_basis(mu, np.sinh, np.cosh)),
+        ((x >= 0.0) & (x < 1.0), 0.0, right, _local_basis(rec.mu, np.sinh, np.cosh)),
         ((x > -1.0) & (x < 0.0), 1.0, left, [monomial(q) for q in (3, 4, 5)]),
     )
     for inside, shift, coeffs, basis in pieces:

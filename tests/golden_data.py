@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from hermwave.annihilator import Annihilator, SpaceSpec, _x_m_sinh, inverse_dilation_matrix
-from hermwave.laurent import MatLaurent
+from hermwave.laurent import MatLaurent, max_coeff_dev
 from hermwave.signal import HermiteSignal, sample_function
 from hermwave.subdivision import LevelMask, make_mask, render_basic_limit
 
@@ -157,16 +157,27 @@ def closed_form_phi_pointwise(spec, j: int, x: float, level: int = 0, derivative
     """
     from hermwave.annihilator import _local_basis
     from hermwave.signal import monomial
-    from hermwave.subdivision import _piece_coeffs
+    from hermwave.subdivision import _scaled
 
     if not -1.0 <= x <= 1.0:
         return 0.0
     mu = spec.frequency_at(level)
-    left, right = _piece_coeffs(mu, j)
+    left, right = _scaled(mu).pieces[j]
     if x >= 0.0:
         return float(sum(c * f(x, derivative) for c, f in zip(right, _local_basis(mu))))
     basis = [monomial(q) for q in (3, 4, 5)]
     return float(sum(c * f(x + 1.0, derivative) for c, f in zip(left, basis)))
+
+
+def factorization_residuals_product(fb, ann_n, ann_n1, r, s) -> tuple[float, float]:
+    """The residuals of the quotients ``r``, ``s`` with each product formed again.
+
+    ``factorization_pair`` reads its residuals off its two divisions;
+    they must match this formula bit for bit.
+    """
+    res_r = max_coeff_dev(ann_n1.symbol.mul(fb.A), r.mul(ann_n.symbol.upsample()))
+    res_s = max_coeff_dev(fb.B_tilde.involution(), s.mul(ann_n1.symbol))
+    return res_r, res_s
 
 
 def vanishing_moments_loop(fb, f, halfwidth: float = 2.0) -> float:
@@ -325,8 +336,8 @@ def h0_matrix_entry_formulas(p: int, mu: float) -> np.ndarray:
 
 # ----------------------------------------------------------------------
 # the mask and closed-form piece systems assembled one basis function at a
-# time: ``subdivision._mask_symbol`` and ``_piece_coeffs``, which read the
-# systems off ``annihilator._hermite_data``, must match them bit for bit
+# time: the mask and pieces of the record ``subdivision._scaled``, which
+# read the systems off ``annihilator._hermite_data``, must match them bit for bit
 # ----------------------------------------------------------------------
 
 def _derivs(f, t: float) -> np.ndarray:
@@ -334,7 +345,7 @@ def _derivs(f, t: float) -> np.ndarray:
 
 
 def mask_symbol_loop(mu: float) -> MatLaurent:
-    """``subdivision._mask_symbol`` with one row of the 6x6 system per basis function."""
+    """``subdivision._scaled(mu).mask`` with one row of the 6x6 system per basis function."""
     from hermwave.annihilator import _local_basis, dilation_matrix
     from hermwave.subdivision import A_MINUS_1, COND_LIMIT
 
@@ -362,7 +373,7 @@ def mask_symbol_loop(mu: float) -> MatLaurent:
 
 
 def piece_coeffs_loop(mu: float, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """``subdivision._piece_coeffs`` with one column of each system per basis function."""
+    """``subdivision._scaled(mu).pieces[j]`` with one column of each system per basis function."""
     from hermwave.annihilator import _local_basis
     from hermwave.signal import monomial
 

@@ -1,5 +1,6 @@
 """Taylor and cancellation operators: structure, annihilation, limits."""
 
+import dataclasses
 import math
 
 import mpmath as mp
@@ -15,7 +16,7 @@ from hermwave.annihilator import (
     make_taylor,
     taylor_distance,
 )
-from hermwave.laurent import max_coeff_dev
+from hermwave.laurent import MatLaurent, max_coeff_dev
 from hermwave.signal import exponential, monomial, sample_function
 from hermwave.subdivision import closed_form_phi, make_mask
 
@@ -85,6 +86,22 @@ def test_p1_block_embedding():
 def test_unsupported_p_rejected():
     with pytest.raises(ValueError):
         make_annihilator(SpaceSpec(2, 1.0), 0)
+
+
+def test_taylor_order_above_170_is_a_named_error():
+    # 170! is the largest factorial below the largest double
+    assert make_taylor(170).tap(0)[0, 170] == -1.0 / math.factorial(170)
+    for d in (171, 100000):
+        with pytest.raises(ValueError, match=rf"^order must be at most 170 .*, got {d}$"):
+            make_taylor(d)
+
+
+def test_eigvec_residual_of_a_non_finite_operator_is_nan():
+    ann = make_annihilator(SpaceSpec(0, 2.0), 0)
+    coeffs = np.array(ann.symbol.coeffs)
+    coeffs[1, 2, 2] = np.nan
+    bad = dataclasses.replace(ann, symbol=MatLaurent(3, ann.symbol.lo, ann.symbol.hi, coeffs))
+    assert np.isnan(check_eigvec_condition(bad))
 
 
 def test_taylor_fallback_at_tiny_frequency():

@@ -146,6 +146,11 @@ def test_bad_frequency_is_a_clean_error(lam, reason, capsys):
     _clean_error(capsys, reason)
 
 
+def test_filters_taylor_order_above_170_is_a_clean_error(capsys):
+    assert main(["filters", "--taylor", "--d", "171"]) == 2
+    _clean_error(capsys, "order must be at most 170")
+
+
 def test_filters_taylor(tmp_path):
     out = tmp_path / "t.json"
     assert main(["filters", "--taylor", "--d", "2", "--output", str(out)]) == 0
@@ -294,6 +299,38 @@ def test_analyze_of_a_signal_not_starting_at_node_zero(tmp_path, capsys):
     write_signal(HermiteSignal(4, np.ones((16, 3)), start=5), path)
     assert main(["analyze", "--depth", "2", "--input", str(path)]) == 2
     _clean_error(capsys, "transform data starts at node 0, got 5 at level 4")
+
+
+@pytest.mark.parametrize("flag", ["--perturb", "--tolerance"])
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_verify_rejects_a_non_finite_perturbation_or_tolerance(flag, value, capsys):
+    assert main(["verify", "--lambda", "2", "--level", "0", f"{flag}={value}"]) == 2
+    _clean_error(capsys, f"{flag} must be finite, got {float(value)}")
+
+
+def test_verify_fails_a_nan_residual(tmp_path, monkeypatch):
+    # max() over [0.0, nan] would report 0.0, a pass
+    monkeypatch.setattr(cli.subdivision, "check_spectral_condition", lambda *a, **k: {"1": 0.0, "exp+": float("nan")})
+    out = tmp_path / "v.json"
+    assert main(["verify", "--lambda", "2", "--level", "0", "--output", str(out)]) == 1
+    assert json.loads(out.read_text())["failures"] == ["spectral_exponential[n=0]"]
+
+
+@pytest.mark.parametrize("argv", [["--lambda", "1e-320"], ["--lambda", "2", "--level", "540"]])
+def test_filters_at_a_tiny_scaled_frequency_is_the_stationary_bank(tmp_path, argv):
+    out, ref = tmp_path / "f.json", tmp_path / "ref.json"
+    assert main(["filters", *argv, "--output", str(out)]) == 0
+    assert main(["filters", "--lambda", "0", "--output", str(ref)]) == 0
+    got, want = json.loads(out.read_text()), json.loads(ref.read_text())
+    keys = ("mask", "interpolatory_residual", "A", "B", "A_tilde", "B_tilde")
+    assert {k: got[k] for k in keys} == {k: want[k] for k in keys}
+
+
+def test_analyze_at_a_tiny_frequency(tmp_path, exp_signal, capsys):
+    out = tmp_path / "c.json"
+    assert main(["analyze", "--lambda", "1e-300", "--depth", "3", "--input", str(exp_signal), "--output", str(out)]) == 0
+    assert main(["synthesize", "--input", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_verify_overflowing_frequency_is_a_clean_error(capsys):

@@ -1,5 +1,6 @@
 """Filter-bank construction, biorthogonality, factorizations, transform."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -33,13 +34,14 @@ from hermwave.signal import (
     monomial,
     sample_function,
 )
-from hermwave.subdivision import _BLOCK, LevelMask, make_mask
+from hermwave.subdivision import _BLOCK, LevelMask, interpolatory_residual, make_mask
 
 from golden_data import (
     B_TILDE_SHARP_TAPS,
     R_TAPS,
     S_TAPS,
     analyze_roll,
+    factorization_residuals_product,
     max_tap_dev,
     sampled_biorthogonality,
     synthesize_roll,
@@ -164,6 +166,40 @@ def test_factorization_residuals(lam, level):
         make_annihilator(spec, level + 1),
     )
     assert pair.residual_R < 1e-10 and pair.residual_S < 1e-10
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5, 2.0, 4.0, 8.0])
+def test_factorization_pair_residuals_are_the_product_residuals(lam):
+    spec = SpaceSpec(0, lam)
+    for level in range(5):
+        mask = make_mask(spec, level)
+        ann_n, ann_n1 = make_annihilator(spec, level), make_annihilator(spec, level + 1)
+        # the record's pair, and the pair of a hand-made copy of the mask
+        for fb in (build(mask), build(LevelMask(level, spec, mask.symbol))):
+            pair = factorization_pair(fb, ann_n, ann_n1)
+            want = factorization_residuals_product(fb, ann_n, ann_n1, pair.R, pair.S)
+            assert (pair.residual_R, pair.residual_S) == want
+            assert pair.R.coeffs.tobytes() == compute_R(fb, ann_n, ann_n1).coeffs.tobytes()
+            assert pair.S.coeffs.tobytes() == compute_S(fb, ann_n1).coeffs.tobytes()
+
+
+def test_bank_holds_the_residuals_build_checked():
+    spec = SpaceSpec(0, 2.0)
+    mask = make_mask(spec, 1)
+    for fb in (build(mask), build(LevelMask(1, spec, mask.symbol))):
+        assert fb.interpolatory_residual == interpolatory_residual(mask.symbol)
+        assert fb.biorthogonality_residual == check_biorthogonality(fb)
+    changed = dataclasses.replace(fb, A=fb.A.scale(2.0))
+    assert changed.interpolatory_residual is None and changed.biorthogonality_residual is None
+    assert FilterBank(1, spec, fb.A, fb.B, fb.A_tilde, fb.B_tilde) == fb
+
+
+def test_non_finite_tap_gives_a_nan_residual():
+    fb = build_at(SpaceSpec(0, 2.0), 0)
+    taps = {k: np.array(m) for k, m in fb.A.taps().items()}
+    taps[1][0, 0] = np.inf
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(check_biorthogonality(dataclasses.replace(fb, A=MatLaurent.from_taps(3, taps))))
 
 
 def test_factorization_failure_on_perturbed_mask():

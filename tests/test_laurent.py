@@ -159,6 +159,16 @@ def test_interior_tap_below_trim_tol_is_zeroed():
     assert_same(s, dict_add(p, q))
 
 
+def test_a_nan_tap_is_never_trimmed():
+    nan = np.full((3, 3), 1e-16)
+    nan[1, 2] = np.nan
+    p = MatLaurent.from_taps(3, {0: nan, 1: np.eye(3)})
+    assert (p.lo, p.hi) == (0, 1) and sorted(p.taps()) == [0, 1]
+    assert np.isnan(p.tap(0)[1, 2])
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(max_coeff_dev(p.mul(p), MatLaurent.identity(3, power=2)))
+
+
 def test_cancelling_end_taps_shrink_the_window():
     rng = np.random.default_rng(9)
     a, b, c = (rng.uniform(-1, 1, (3, 3)) for _ in range(3))

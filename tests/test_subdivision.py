@@ -7,17 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hermwave.annihilator import SpaceSpec, dilation_matrix
+from hermwave.annihilator import SpaceSpec, dilation_matrix, make_annihilator
+from hermwave.filterbank import build_at, factorization_pair
 from hermwave.signal import HermiteSignal, exponential, monomial, sample_function
 from hermwave.subdivision import (
     _DINV_T,
     A_MINUS_1,
-    _mask_symbol,
     _BLOCK,
     _lift,
-    _lift_taps,
-    _piece_coeffs,
     _refine,
+    _scaled,
     check_spectral_condition,
     closed_form_deviation,
     closed_form_phi,
@@ -126,6 +125,55 @@ def test_failed_mask_derivation_is_not_cached():
             make_mask(SpaceSpec(0, 1000.0), 0)
     with pytest.raises(ValueError):
         make_mask(SpaceSpec(0, None), 0)
+    # an ill-conditioned mask fails on every use; the record's other parts still serve
+    for _ in range(2):
+        with pytest.raises(ValueError, match="ill conditioned at scaled frequency 40.0"):
+            make_mask(SpaceSpec(0, 40.0), 0)
+    assert "mask" not in vars(_scaled(40.0))
+    assert make_annihilator(SpaceSpec(0, 40.0), 0).symbol is _scaled(40.0).h
+    assert closed_form_phi(SpaceSpec(0, 40.0), 0, 0.0) == 1.0
+
+
+def test_levels_of_equal_scaled_frequency_share_one_record():
+    a, b = SpaceSpec(0, 2.0), SpaceSpec(0, 4)
+    rec = _scaled(a.frequency_at(2))
+    assert _scaled(b.frequency_at(3)) is rec
+    assert make_mask(a, 2)._scaled is rec and make_mask(b, 3)._scaled is rec
+    bank_a, bank_b = build_at(a, 2), build_at(b, 3)
+    assert bank_a.B_tilde is bank_b.B_tilde is rec.bank.B_tilde
+    assert (bank_a.level, bank_b.level) == (2, 3)
+    assert bank_a.spec is a and bank_b.spec is b
+    ann_a, ann_b = make_annihilator(a, 2), make_annihilator(b, 3)
+    assert ann_a.symbol is ann_b.symbol is rec.h
+    assert (ann_a.level, ann_a.spec, ann_b.level, ann_b.spec) == (2, a, 3, b)
+    pair = factorization_pair(bank_a, ann_a, make_annihilator(a, 3))
+    assert factorization_pair(bank_b, ann_b, make_annihilator(b, 4)) is pair is rec.quotients
+
+
+def test_record_arrays_are_read_only():
+    rec = _scaled(0.75)
+    pair = rec.quotients
+    symbols = [rec.mask, rec.h, *rec.bank[:4], pair.R, pair.S]
+    arrays = [rec.at0, rec.at_half, rec.at1, *rec.taps, *(a for piece in rec.pieces for a in piece)]
+    for a in arrays + [sym.coeffs for sym in symbols]:
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 1.0
+
+
+def test_tiny_scaled_frequency_is_the_stationary_limit():
+    # where (mu/2)^2 underflows the record is the stationary one; above, the
+    # solved mask already has the stationary bits from mu ~ 1e-150 down
+    for k in range(1075):
+        mu = 2.0**-k
+        rec, stationary = _scaled(mu), _scaled(0.0)
+        assert (rec is stationary) == ((mu / 2) ** 2 < np.finfo(float).tiny), k
+        mask = make_mask(SpaceSpec(0, 1.0), k)
+        if k < 500:
+            continue
+        assert np.array_equal(_bits(mask.symbol.coeffs), _bits(stationary.mask.coeffs)), k
+        for piece, ref in zip(rec.pieces, stationary.pieces):
+            assert all(np.array_equal(_bits(a), _bits(b)) for a, b in zip(piece, ref)), k
+        assert closed_form_phi(SpaceSpec(0, mu), 2, 0.5) == closed_form_phi(SpaceSpec(0, 0.0), 2, 0.5), k
 
 
 #: Scaled frequencies of the bit-equality checks: a grid over the working
@@ -140,7 +188,7 @@ def _bits(a: np.ndarray) -> np.ndarray:
 
 def test_mask_symbol_bit_equal_to_basis_loop():
     for mu in MUS:
-        new, ref = _mask_symbol(mu), mask_symbol_loop(mu)
+        new, ref = _scaled(mu).mask, mask_symbol_loop(mu)
         assert (new.lo, new.hi) == (ref.lo, ref.hi), mu
         assert np.array_equal(_bits(new.coeffs), _bits(ref.coeffs)), mu
 
@@ -148,7 +196,7 @@ def test_mask_symbol_bit_equal_to_basis_loop():
 def test_piece_coeffs_bit_equal_to_basis_loop():
     for mu in MUS:
         for j in range(3):
-            for new, ref in zip(_piece_coeffs(mu, j), piece_coeffs_loop(mu, j)):
+            for new, ref in zip(_scaled(mu).pieces[j], piece_coeffs_loop(mu, j)):
                 assert np.array_equal(_bits(new), _bits(ref)), (mu, j)
 
 
@@ -243,7 +291,7 @@ def test_lift_matches_roll_formula_at_any_row_count(nodes, lam, level, scale, se
 def _assert_lift_matches_roll(mask, coarse: np.ndarray, odd: np.ndarray) -> None:
     """``_refine`` and ``_lift(analysis=True)`` on the cached taps give the bits of ``predict_roll``."""
     nodes = len(coarse)
-    taps = _lift_taps(mask.spec.frequency_at(mask.level))
+    taps = _scaled(mask.spec.frequency_at(mask.level)).taps
     want = predict_roll(mask, coarse)
     assert np.array_equal(_refine(taps, coarse)[1::2].view(np.int64), want.view(np.int64))
     fine = np.empty((2 * nodes, 3))
@@ -255,12 +303,12 @@ def _assert_lift_matches_roll(mask, coarse: np.ndarray, odd: np.ndarray) -> None
 
 
 def test_lift_taps_are_shared_c_contiguous_and_read_only():
-    taps = _lift_taps(0.5)
+    taps = _scaled(0.5).taps
     # levels of equal scaled frequency share one tuple, as they share the symbol
-    assert _lift_taps(SpaceSpec(0, 2.0).frequency_at(2)) is taps
-    assert _lift_taps(SpaceSpec(0, 4).frequency_at(3)) is taps
-    assert _lift_taps(SpaceSpec(0, 2.0).frequency_at(1)) is not taps
-    symbol = _mask_symbol(0.5)
+    assert _scaled(SpaceSpec(0, 2.0).frequency_at(2)).taps is taps
+    assert _scaled(SpaceSpec(0, 4).frequency_at(3)).taps is taps
+    assert _scaled(SpaceSpec(0, 2.0).frequency_at(1)).taps is not taps
+    symbol = _scaled(0.5).mask
     for k, t in zip((0, 1, -1), taps, strict=True):
         assert np.array_equal(t, symbol.tap(k).T)
     for t in (*taps, _DINV_T):
