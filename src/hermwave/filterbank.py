@@ -131,13 +131,13 @@ def build(mask: LevelMask) -> FilterBank:
 def _bank(a: MatLaurent) -> _Bank:
     """The bank of the mask symbol ``a``, with :func:`build`'s checks and messages."""
     res = interpolatory_residual(a)
-    if res > 1e-10:
+    if not res <= 1e-10:  # a NaN residual fails
         raise ValueError(f"mask is not interpolatory: residual {res:.3e}")
     dinv = MatLaurent.from_taps(a.dim, {0: inverse_dilation_matrix(a.dim - 1)})
     b = MatLaurent.identity(a.dim, power=1)
     b_tilde = b.mul(dinv).mul(a.involution().negate_arg())
     bio = _biorthogonality(a, b, dinv, b_tilde)
-    if bio > BIORTHO_TOL:
+    if not bio <= BIORTHO_TOL:
         raise ValueError(f"constructed bank fails biorthogonality: residual {bio:.3e}")
     return _Bank(a, b, dinv, b_tilde, res, bio)
 
@@ -234,7 +234,7 @@ def _wavelet_quotient(fb, h_n1: MatLaurent, cross_check_R: MatLaurent | None) ->
         h_neg = h_n1.negate_arg()
         lhs = MatLaurent.identity(h_n1.dim, power=1).mul(h_neg).mul(s).scale(-1.0)
         dev = max_coeff_dev(lhs, cross_check_R.negate_arg().mul(fb.A_tilde).mul(h_neg))
-        if dev > 1e-8:
+        if not dev <= 1e-8:
             raise ValueError(
                 f"wavelet quotient disagrees with the closed formula: {dev:.3e}"
             )

@@ -255,7 +255,7 @@ class MatLaurent:
         sol, *_ = np.linalg.lstsq(system.reshape(-1, nq * r), rhs, rcond=None)
         quotient = _trimmed(r, lo_q, sol.reshape(nq, r, r).transpose(0, 2, 1))
         residual = max_coeff_dev(quotient.mul(divisor), self)
-        if residual > tol:
+        if not residual <= tol:  # a NaN residual fails
             raise DivisionError(
                 f"not divisible: spectral condition violated (residual {residual:.3e})"
             )

@@ -198,8 +198,11 @@ def test_non_finite_tap_gives_a_nan_residual():
     fb = build_at(SpaceSpec(0, 2.0), 0)
     taps = {k: np.array(m) for k, m in fb.A.taps().items()}
     taps[1][0, 0] = np.inf
+    bad = MatLaurent.from_taps(3, taps)
     with np.errstate(invalid="ignore"):
-        assert np.isnan(check_biorthogonality(dataclasses.replace(fb, A=MatLaurent.from_taps(3, taps))))
+        assert np.isnan(check_biorthogonality(dataclasses.replace(fb, A=bad)))
+        with pytest.raises(ValueError, match=r"fails biorthogonality: residual nan"):
+            build(LevelMask(0, fb.spec, bad))
 
 
 def test_factorization_failure_on_perturbed_mask():

@@ -167,6 +167,8 @@ def test_a_nan_tap_is_never_trimmed():
     assert np.isnan(p.tap(0)[1, 2])
     with np.errstate(invalid="ignore"):
         assert np.isnan(max_coeff_dev(p.mul(p), MatLaurent.identity(3, power=2)))
+        with pytest.raises(DivisionError, match=r"residual nan"):
+            p.divide_right(MatLaurent.identity(3))
 
 
 def test_cancelling_end_taps_shrink_the_window():
