@@ -28,8 +28,6 @@ from .filterbank import (
     check_biorthogonality,
     check_vanishing_moments,
     compress,
-    compute_R,
-    compute_S,
     factorization_pair,
     synthesize,
 )

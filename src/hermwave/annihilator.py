@@ -198,12 +198,9 @@ def _h0_core(at1: np.ndarray) -> np.ndarray:
     return 0.0 - at1[[0, 4, 5]].T
 
 
-def _h0_matrix(p: int, mu: float) -> np.ndarray:
-    """Constant tap of the cancellation-operator symbol at scaled frequency mu."""
+def _h0_p1(mu: float) -> np.ndarray:
+    """The ``p = 1`` constant tap at scaled frequency ``mu``: Taylor row on top, the ``p = 0`` tap lower-right."""
     core = _h0_core(_hermite_data(mu, 1.0))
-    if p == 0:
-        return core
-    # p = 1: Taylor row on top, the p = 0 block lower-right.
     h0 = np.zeros((4, 4))
     h0[0] = [-1.0, -1.0, core[0, 2], _x_m_sinh(mu)]
     h0[1:, 1:] = core
@@ -232,9 +229,8 @@ def make_annihilator(spec: SpaceSpec, level: int) -> Annihilator:
         return Annihilator(level, spec, _scaled(mu).h)
     if mu < TAYLOR_FALLBACK_MU:
         return Annihilator(level, spec, make_taylor(spec.d))
-    dim = spec.dim
-    symbol = MatLaurent.from_taps(dim, {-1: np.eye(dim), 0: _h0_matrix(spec.p, mu)})
-    return Annihilator(level, spec, symbol)
+    # what is left is p = 1 with a frequency
+    return Annihilator(level, spec, MatLaurent.from_taps(4, {-1: np.eye(4), 0: _h0_p1(mu)}))
 
 
 def check_eigvec_condition(ann: Annihilator) -> float:

@@ -38,9 +38,9 @@ def _write(text: str, output: str | None) -> None:
 
 
 def _emit(payload: dict, output: str | None, compact: bool = False) -> None:
-    # compact output runs json's C encoder; its indenting encoder is pure Python
-    text = json.dumps(payload, separators=(",", ":")) if compact else json.dumps(payload, indent=2)
-    _write(text + "\n", output)
+    # compact output runs json's C encoder, the indenting one is pure Python; NaN and inf raise
+    layout = {"separators": (",", ":")} if compact else {"indent": 2}
+    _write(json.dumps(payload, allow_nan=False, **layout) + "\n", output)
 
 
 # ----------------------------------------------------------------------
@@ -133,11 +133,13 @@ def cmd_verify(args) -> int:
     for flag, value in (("--perturb", args.perturb), ("--tolerance", args.tolerance)):
         if value is not None and not math.isfinite(value):
             raise ValueError(f"{flag} must be finite, got {value}")
+    # the last level's sample windows are the largest: reject them before any level runs
+    subdivision._window(3.0, args.level, 2, f"verify --level {args.level}")
     spec = SpaceSpec(0, args.lam)
     levels = range(0, args.level + 1)
     checks = _verify_report(spec, levels, args.seed, args.perturb, args.tolerance)
     report = {
-        name: {"residual": res, "tolerance": tol, "pass": res <= tol}
+        name: {"residual": res if math.isfinite(res) else None, "tolerance": tol, "pass": res <= tol}
         for name, res, tol in checks
     }
     failures = [name for name, v in report.items() if not v["pass"]]

@@ -18,8 +18,8 @@ Two factorizations through the cancellation operator are provided:
     H[n+1](z) A[n](z) = R[n](z) H[n](z^2)        (subdivision quotient)
     (B~[n])#(z)       = S[n](z) H[n+1](z)        (wavelet quotient)
 
-both computed by coefficient-matching division, with the closed inverse-
-conjugation formula for ``S`` available as a coefficient cross-check.
+both computed by coefficient-matching division in :func:`factorization_pair`,
+which checks ``S`` against the closed inverse-conjugation formula.
 All identities are checked on exact coefficients, never at sample points.
 The periodic transform's coarse data and details are ``HermiteSignal``s
 from node 0; synthesis is periodic refinement plus the odd-node details.
@@ -28,7 +28,6 @@ from node 0; synthesis is periodic refinement plus the odd-node details.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -45,6 +44,7 @@ from .subdivision import (
     _lift,
     _refine,
     _scaled,
+    _window,
     interpolatory_residual,
     make_mask,
 )
@@ -178,7 +178,7 @@ def check_vanishing_moments(fb: FilterBank, f) -> float:
     non-periodic ``f``); for ``f`` in ``V_{0,L}`` the result vanishes.
     """
     n1 = fb.level + 1
-    m = max(2, math.ceil(2.0 * 2**n1))
+    m = _window(2.0, n1, 0, "check_vanishing_moments")
     v = sample_function(f, n1, -m, 2 * m + 1, dim=fb.dim).data
     taps = sorted(fb.B_tilde.taps().items())
     t0 = taps[0][0]
@@ -191,64 +191,23 @@ def check_vanishing_moments(fb: FilterBank, f) -> float:
     return float(np.max(np.abs(acc)))
 
 
-def _check_bracket(fb: FilterBank, ann_n: Annihilator, ann_n1: Annihilator) -> None:
+def factorization_pair(fb: FilterBank, ann_n: Annihilator, ann_n1: Annihilator) -> FactorizationPair:
+    """Both quotients of the bank ``fb`` through ``H[n] = ann_n`` and ``H[n+1] = ann_n1``.
+
+    ``R`` of ``H[n+1](z) A[n](z) = R[n](z) H[n](z^2)`` and ``S`` of
+    ``(B~[n])#(z) = S[n](z) H[n+1](z)``, each by coefficient matching, with
+    the residuals of the two divisions; ``S`` must also meet the closed
+    formula (:func:`_check_closed_form`).  A bank from :func:`build` with
+    the operators of :func:`make_annihilator` reads the pair, computed once
+    per scaled frequency, from the mask's record.  A failed division raises
+    ``DivisionError``; operator levels that do not bracket the bank's, or a
+    miss of the closed formula, raise ``ValueError``.
+    """
     if ann_n.level != fb.level or ann_n1.level != fb.level + 1:
         raise ValueError(
             f"operator levels ({ann_n.level}, {ann_n1.level}) must bracket "
             f"bank level {fb.level}"
         )
-
-
-def compute_R(fb: FilterBank, ann_n: Annihilator, ann_n1: Annihilator) -> MatLaurent:
-    """Quotient of ``H[n+1](z) A[n](z) = R[n](z) H[n](z^2)``; ``A`` is ``fb.A``."""
-    _check_bracket(fb, ann_n, ann_n1)
-    return _subdivision_quotient(fb.A, ann_n.symbol, ann_n1.symbol)[0]
-
-
-def compute_S(
-    fb: FilterBank, ann_n1: Annihilator, cross_check_R: MatLaurent | None = None
-) -> MatLaurent:
-    """Quotient of ``(B~[n])#(z) = S[n](z) H[n+1](z)``.
-
-    Obtained by coefficient matching.  When ``cross_check_R`` is given,
-    the closed inverse-conjugation formula ``S(z) = -z^-1 H[n+1](-z)^-1
-    R[n](-z) D^-1 H[n+1](-z)`` is checked in its polynomial form
-    ``-z H[n+1](-z) S(z) = R[n](-z) D^-1 H[n+1](-z)``.
-    """
-    if ann_n1.level != fb.level + 1:
-        raise ValueError(
-            f"operator level {ann_n1.level} must be bank level {fb.level} + 1"
-        )
-    return _wavelet_quotient(fb, ann_n1.symbol, cross_check_R)[0]
-
-
-def _subdivision_quotient(a: MatLaurent, h_n: MatLaurent, h_n1: MatLaurent) -> tuple[MatLaurent, float]:
-    """``R`` of :func:`compute_R` and its factorization residual."""
-    return h_n1.mul(a)._divide(h_n.upsample())
-
-
-def _wavelet_quotient(fb, h_n1: MatLaurent, cross_check_R: MatLaurent | None) -> tuple[MatLaurent, float]:
-    """``S`` of :func:`compute_S` and its factorization residual; ``fb`` is a bank or a ``_Bank``."""
-    s, res = fb.B_tilde.involution()._divide(h_n1)
-    if cross_check_R is not None:
-        h_neg = h_n1.negate_arg()
-        lhs = MatLaurent.identity(h_n1.dim, power=1).mul(h_neg).mul(s).scale(-1.0)
-        dev = max_coeff_dev(lhs, cross_check_R.negate_arg().mul(fb.A_tilde).mul(h_neg))
-        if not dev <= 1e-8:
-            raise ValueError(
-                f"wavelet quotient disagrees with the closed formula: {dev:.3e}"
-            )
-    return s, res
-
-
-def factorization_pair(fb: FilterBank, ann_n: Annihilator, ann_n1: Annihilator) -> FactorizationPair:
-    """Both quotients of the bank ``fb`` with their factorization residuals.
-
-    The residuals are those of the two divisions.  A bank from
-    :func:`build` with the operators of :func:`make_annihilator` reads the
-    pair, computed once per scaled frequency, from the mask's record.
-    """
-    _check_bracket(fb, ann_n, ann_n1)
     rec = fb._scaled
     if rec is not None and ann_n.symbol is rec.h and ann_n1.symbol is _scaled(rec.mu / 2.0).h:
         return rec.quotients
@@ -257,9 +216,23 @@ def factorization_pair(fb: FilterBank, ann_n: Annihilator, ann_n1: Annihilator) 
 
 def _quotients(fb, h_n: MatLaurent, h_n1: MatLaurent) -> FactorizationPair:
     """The pair of :func:`factorization_pair`; ``fb`` is a bank or a ``_Bank``."""
-    r, res_r = _subdivision_quotient(fb.A, h_n, h_n1)
-    s, res_s = _wavelet_quotient(fb, h_n1, r)
+    r, res_r = h_n1.mul(fb.A)._divide(h_n.upsample())
+    s, res_s = fb.B_tilde.involution()._divide(h_n1)
+    _check_closed_form(fb, h_n1, r, s)
     return FactorizationPair(r, s, res_r, res_s)
+
+
+def _check_closed_form(fb, h_n1: MatLaurent, r: MatLaurent, s: MatLaurent) -> None:
+    """Raise unless ``S(z) = -z^-1 H[n+1](-z)^-1 R[n](-z) D^-1 H[n+1](-z)``.
+
+    Checked in its polynomial form ``-z H[n+1](-z) S(z) = R[n](-z) D^-1
+    H[n+1](-z)``, on coefficients; ``D^-1`` is ``fb.A_tilde``.
+    """
+    h_neg = h_n1.negate_arg()
+    lhs = MatLaurent.identity(h_n1.dim, power=1).mul(h_neg).mul(s).scale(-1.0)
+    dev = max_coeff_dev(lhs, r.negate_arg().mul(fb.A_tilde).mul(h_neg))
+    if not dev <= 1e-8:
+        raise ValueError(f"wavelet quotient disagrees with the closed formula: {dev:.3e}")
 
 
 # ----------------------------------------------------------------------

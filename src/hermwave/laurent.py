@@ -11,7 +11,7 @@ Conventions
 * The coefficient array over the support window is the representation
   every operation computes with.  A ``{power: matrix}`` map exists only at
   the boundary: :meth:`MatLaurent.taps` and :meth:`MatLaurent.from_taps`
-  (and through them the JSON pair).
+  (:meth:`MatLaurent.to_json_dict` reads ``taps``).
 * A tap whose max-abs entry is below :data:`TRIM_TOL` counts as zero: it
   is zeroed, and zero end taps are trimmed from the support window.  A
   tap holding a NaN is not below it, so a NaN is never trimmed away.
@@ -34,7 +34,7 @@ TRIM_TOL = 1e-14
 #: Entrywise tolerance for symbol equality.
 EQ_TOL = 1e-12
 
-#: Default residual acceptance threshold for :func:`divide_right`.
+#: Residual acceptance threshold of :meth:`MatLaurent.divide_right`.
 DIVIDE_TOL = 1e-10
 
 
@@ -161,15 +161,6 @@ class MatLaurent:
         lo, hi = min(self.lo, other.lo), max(self.hi, other.hi)
         return _trimmed(self.dim, lo, self._window(lo, hi) + other._window(lo, hi))
 
-    def __add__(self, other):
-        return self.add(other)
-
-    def __neg__(self):
-        return _trimmed(self.dim, self.lo, -self.coeffs)
-
-    def __sub__(self, other):
-        return self.add(-other)
-
     def mul(self, other: "MatLaurent") -> "MatLaurent":
         """Cauchy product, matrix order kept: tap ``t`` sums ``P_i Q_{t-i}`` by increasing ``i``."""
         if self.dim != other.dim:
@@ -179,9 +170,6 @@ class MatLaurent:
         for i, a in enumerate(self.coeffs):
             out[i : i + n] += a @ other.coeffs
         return _trimmed(self.dim, self.lo + other.lo, out)
-
-    def __matmul__(self, other):
-        return self.mul(other)
 
     def scale(self, s: float) -> "MatLaurent":
         """Scalar multiple ``s * P(z)``."""
@@ -215,7 +203,7 @@ class MatLaurent:
     # division
     # ------------------------------------------------------------------
 
-    def divide_right(self, divisor: "MatLaurent", tol: float = DIVIDE_TOL) -> "MatLaurent":
+    def divide_right(self, divisor: "MatLaurent") -> "MatLaurent":
         """Solve ``self = R * divisor`` for ``R`` by coefficient matching.
 
         The unknown support of ``R`` is forced by the windows:
@@ -223,17 +211,17 @@ class MatLaurent:
         least-squares system over all unknown taps of ``R`` is assembled
         (supports are tiny, so robustness beats speed) and the result is
         accepted only if the max coefficient residual of ``R * divisor -
-        self`` is below ``tol``.
+        self`` is at most :data:`DIVIDE_TOL`.
 
         Raises
         ------
         DivisionError
             If the windows admit no quotient or the residual exceeds
-            ``tol`` ("not divisible: spectral condition violated").
+            :data:`DIVIDE_TOL` ("not divisible: spectral condition violated").
         """
-        return self._divide(divisor, tol)[0]
+        return self._divide(divisor)[0]
 
-    def _divide(self, divisor: "MatLaurent", tol: float = DIVIDE_TOL) -> tuple["MatLaurent", float]:
+    def _divide(self, divisor: "MatLaurent") -> tuple["MatLaurent", float]:
         """:meth:`divide_right` and its residual ``max_coeff_dev(quotient * divisor, self)``."""
         if self.dim != divisor.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {divisor.dim}")
@@ -255,7 +243,7 @@ class MatLaurent:
         sol, *_ = np.linalg.lstsq(system.reshape(-1, nq * r), rhs, rcond=None)
         quotient = _trimmed(r, lo_q, sol.reshape(nq, r, r).transpose(0, 2, 1))
         residual = max_coeff_dev(quotient.mul(divisor), self)
-        if not residual <= tol:  # a NaN residual fails
+        if not residual <= DIVIDE_TOL:  # a NaN residual fails
             raise DivisionError(
                 f"not divisible: spectral condition violated (residual {residual:.3e})"
             )
@@ -274,15 +262,6 @@ class MatLaurent:
                 for k, m in sorted(self.taps().items())
             ],
         }
-
-    @staticmethod
-    def from_json_dict(d: dict) -> "MatLaurent":
-        dim = int(d["dim"])
-        taps = {
-            int(t["k"]): np.asarray(t["matrix"], dtype=float).reshape(dim, dim)
-            for t in d["taps"]
-        }
-        return MatLaurent.from_taps(dim, taps)
 
 
 def _trimmed(dim: int, lo: int, coeffs: np.ndarray) -> MatLaurent:

@@ -81,14 +81,6 @@ class HermiteSignal:
     def __len__(self) -> int:
         return self.data.shape[0]
 
-    def nodes(self) -> np.ndarray:
-        """Integer node indices."""
-        return self.start + np.arange(len(self))
-
-    def grid(self) -> np.ndarray:
-        """Physical positions ``2^-level * node``."""
-        return self.nodes() * 2.0 ** (-self.level)
-
 
 def _check_finite(level: int, data: np.ndarray) -> None:
     """Raise the named error if the level-``level`` ``data`` holds a NaN or an infinity."""
@@ -143,11 +135,6 @@ def sine(omega: float):
         return omega**j * (sign * g(omega * x))
 
     return f
-
-
-def v_vector(f, level: int, k: int, dim: int) -> np.ndarray:
-    """The v-coordinate vector of ``f`` at level ``level``, node ``k``."""
-    return sample_function(f, level, k, 1, dim).data[0]
 
 
 def sample_function(f, level: int, start: int, count: int, dim: int = 3) -> HermiteSignal:

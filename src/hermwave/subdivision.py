@@ -52,6 +52,10 @@ A_MINUS_1 = np.array(
 #: Condition-number bound above which mask derivation reports failure.
 COND_LIMIT = 1e12
 
+#: Most rows one array of :func:`check_spectral_condition`, :func:`render_basic_limit` or
+#: ``filterbank.check_vanishing_moments`` may hold (384 MiB at dim 3); past it they raise ValueError.
+MAX_ROWS = 2**24
+
 #: Coarse rows per block of the lifting kernel (192 KiB per 3-column operand).
 _BLOCK = 8192
 
@@ -149,7 +153,7 @@ def _scaled(mu: float) -> _Scaled:
     leaves the normal range the local basis divides by zero or loses
     bits, and the stationary record (``mu = 0``) is exact to the last bit.
     """
-    if mu > 0.0 and (mu / 2.0) ** 2 < sys.float_info.min:
+    if mu > 0.0 and (mu / 2.0) * (mu / 2.0) < sys.float_info.min:
         return _scaled(0.0)
     return _Scaled(mu)
 
@@ -249,6 +253,22 @@ def _transposed_taps(symbol: MatLaurent) -> tuple[np.ndarray, np.ndarray, np.nda
 def _taps(mask: LevelMask) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The lifting operands of ``mask``: its record's, or built from a hand-made mask's symbol."""
     return _transposed_taps(mask.symbol) if mask._scaled is None else mask._scaled.taps
+
+
+def _window(halfwidth: float, level: int, depth: int, what: str) -> int:
+    """Node ``m >= 2`` of the window ``-m .. m`` over ``|x| <= halfwidth`` at ``level``.
+
+    Its ``2m + 1`` rows, refined ``depth`` times, are ``2^depth (2m + 2) - 1``:
+    past :data:`MAX_ROWS` the named ``ValueError`` comes before any allocation.
+    """
+    try:
+        m = max(2, math.ceil(halfwidth * 2.0**level))
+    except OverflowError:  # past the float range
+        m = math.inf
+    rows = (2 * m + 2) * 2.0 ** min(depth, 64) - 1  # past 2^64 any window is over
+    if rows > MAX_ROWS:
+        raise ValueError(f"{what} needs {rows:.4g} rows, more than MAX_ROWS = 2^24")
+    return m
 
 
 def interpolatory_residual(symbol: MatLaurent) -> float:
@@ -384,7 +404,7 @@ def check_spectral_condition(
             "exp(+)": exponential(lam),
             "exp(-)": exponential(-lam),
         }
-    m = max(2, math.ceil(halfwidth * 2**level))
+    m = _window(halfwidth, level, depth, "check_spectral_condition")
     steps = [_taps(make_mask(spec, level + step)) for step in range(depth)]
     # dependency cone: nodes within 2^depth - 1 of the window edge are
     # contaminated by the zero extension
@@ -414,6 +434,7 @@ def render_basic_limit(
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    _window(0.0, 0, depth, "render_basic_limit")  # the delta's rows -2 .. 2, refined
     steps = [_taps(make_mask(spec, base_level + step)) for step in range(depth)]
     tables = []
     for j in range(3):

@@ -91,6 +91,12 @@ def dict_upsample(self):
     return MatLaurent.from_taps(self.dim, {2 * k: m for k, m in self.taps().items()})
 
 
+def symbol_from_json(d: dict) -> MatLaurent:
+    """The symbol of ``MatLaurent.to_json_dict``'s ``{dim, taps: [{k, matrix}]}``."""
+    dim = int(d["dim"])
+    return MatLaurent.from_taps(dim, {int(t["k"]): np.reshape(t["matrix"], (dim, dim)) for t in d["taps"]})
+
+
 def max_tap_dev(symbol, taps: dict) -> float:
     """Max entrywise deviation of a MatLaurent from a golden tap map."""
     keys = set(taps) | set(symbol.taps())
@@ -315,8 +321,9 @@ def cosh_m1(mu: float) -> float:
 def h0_matrix_entry_formulas(p: int, mu: float) -> np.ndarray:
     """The cancellation operator's constant tap, entry by entry.
 
-    The reference ``annihilator._h0_matrix``, which reads the entries off
-    the local basis, must match bit for bit.
+    The constant taps of ``make_annihilator`` (``p = 0``) and of
+    ``annihilator._h0_p1`` (``p = 1``), which read the entries off the
+    local basis, must match bit for bit.
     """
     c, s = math.cosh(mu), math.sinh(mu)
     core = np.array(

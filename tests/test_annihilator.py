@@ -9,7 +9,7 @@ import pytest
 
 from hermwave.annihilator import (
     SpaceSpec,
-    _h0_matrix,
+    _h0_p1,
     check_eigvec_condition,
     check_two_level_identity,
     make_annihilator,
@@ -113,7 +113,7 @@ def test_stable_entry_formulas_against_mpmath():
     mp.mp.dps = 60
     for mu in (1e-7, 1e-4, 1e-2, 0.3, 0.7, 2.0):
         m = mp.mpf(mu)
-        h0 = _h0_matrix(1, mu)
+        h0 = _h0_p1(mu)
         sinhc, cosh_m1, x_m_sinh = -h0[1, 2], h0[1, 3], h0[0, 3]
         assert sinhc == pytest.approx(float(mp.sinh(m) / m), rel=1e-14)
         assert cosh_m1 == pytest.approx(float((1 - mp.cosh(m)) / m**2), rel=1e-13)
@@ -125,7 +125,9 @@ def test_h0_matrix_bit_equal_to_entry_formulas(p):
     mus = list(np.geomspace(1e-8, 40.0, 4000))
     mus += [2.0**-n * lam for lam in (0.5, 1.0, 2.0, 4.0, 8.0) for n in range(25)]
     for mu in mus:
-        assert _h0_matrix(p, mu).tobytes() == h0_matrix_entry_formulas(p, mu).tobytes(), mu
+        # p = 0: the operator users get, read off the record subdivision._scaled(mu)
+        h0 = make_annihilator(SpaceSpec(0, mu), 0).symbol.tap(0) if p == 0 else _h0_p1(mu)
+        assert h0.tobytes() == h0_matrix_entry_formulas(p, mu).tobytes(), mu
 
 
 # ----------------------------------------------------------------------

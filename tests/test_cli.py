@@ -1,6 +1,8 @@
 """End-to-end exercises of the command-line front end."""
 
 import argparse
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -8,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hermwave.annihilator import SpaceSpec
 from hermwave import cli
@@ -331,6 +335,39 @@ def test_analyze_at_a_tiny_frequency(tmp_path, exp_signal, capsys):
     assert main(["analyze", "--lambda", "1e-300", "--depth", "3", "--input", str(exp_signal), "--output", str(out)]) == 0
     assert main(["synthesize", "--input", str(out)]) == 0
     assert "Traceback" not in capsys.readouterr().err
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(0.0, 1.79e308))
+def test_filters_at_any_finite_frequency_exits_0_or_2(lam):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["filters", "--lambda", repr(lam)])
+    lines = err.getvalue().splitlines()
+    assert (rc, lines) == (0, []) or (rc == 2 and len(lines) == 1 and lines[0].startswith("error:")), (rc, lines)
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [(["verify", "--level", "20"], "verify --level 20 needs 2.517e+07 rows, more than MAX_ROWS = 2^24"),
+     (["render", "--depth", "22"], "render_basic_limit needs 2.517e+07 rows, more than MAX_ROWS = 2^24")],
+)
+def test_past_the_row_limit_is_a_clean_error(argv, reason, capsys):
+    # only the first value past the limit: it is rejected before anything is allocated
+    assert main(argv) == 2
+    _clean_error(capsys, reason)
+
+
+def test_verify_writes_strict_json(tmp_path):
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    out = tmp_path / "v.json"
+    # the perturbed tap overflows the biorthogonality products: a NaN residual
+    assert main(["verify", "--lambda", "2", "--level", "0", "--perturb", "1e308", "--output", str(out)]) == 1
+    report = json.loads(out.read_text(), parse_constant=reject)
+    assert report["checks"]["perturbed_biorthogonality"] == {"residual": None, "tolerance": 1e-12, "pass": False}
+    assert report["failures"] == ["perturbed_biorthogonality"]
 
 
 def test_verify_overflowing_frequency_is_a_clean_error(capsys):

@@ -18,9 +18,8 @@ from hermwave.filterbank import (
     build_at,
     check_biorthogonality,
     check_vanishing_moments,
+    _check_closed_form,
     compress,
-    compute_R,
-    compute_S,
     factorization_pair,
     synthesize,
     transform_from_json_dict,
@@ -179,8 +178,12 @@ def test_factorization_pair_residuals_are_the_product_residuals(lam):
             pair = factorization_pair(fb, ann_n, ann_n1)
             want = factorization_residuals_product(fb, ann_n, ann_n1, pair.R, pair.S)
             assert (pair.residual_R, pair.residual_S) == want
-            assert pair.R.coeffs.tobytes() == compute_R(fb, ann_n, ann_n1).coeffs.tobytes()
-            assert pair.S.coeffs.tobytes() == compute_S(fb, ann_n1).coeffs.tobytes()
+            # the two divisions, written out
+            h_n, h_n1 = ann_n.symbol, ann_n1.symbol
+            r, res_r = h_n1.mul(fb.A)._divide(h_n.upsample())
+            s, res_s = fb.B_tilde.involution()._divide(h_n1)
+            assert pair.R.coeffs.tobytes() == r.coeffs.tobytes() and pair.residual_R == res_r
+            assert pair.S.coeffs.tobytes() == s.coeffs.tobytes() and pair.residual_S == res_s
 
 
 def test_bank_holds_the_residuals_build_checked():
@@ -212,7 +215,7 @@ def test_factorization_failure_on_perturbed_mask():
     taps[1][0, 0] += 1e-3
     bad = LevelMask(0, spec, MatLaurent.from_taps(3, taps))
     with pytest.raises(DivisionError):
-        compute_R(build(bad), make_annihilator(spec, 0), make_annihilator(spec, 1))
+        factorization_pair(build(bad), make_annihilator(spec, 0), make_annihilator(spec, 1))
 
 
 def test_wavelet_quotient_closed_form_cross_check():
@@ -220,12 +223,12 @@ def test_wavelet_quotient_closed_form_cross_check():
     mask = make_mask(spec, 1)
     ann1, ann2 = make_annihilator(spec, 1), make_annihilator(spec, 2)
     fb = build(mask)
-    r = compute_R(fb, ann1, ann2)
-    assert compute_S(fb, ann2, cross_check_R=r) == compute_S(fb, ann2)
-    taps = {k: np.array(m) for k, m in r.taps().items()}
+    pair = factorization_pair(fb, ann1, ann2)
+    _check_closed_form(fb, ann2.symbol, pair.R, pair.S)  # passes
+    taps = {k: np.array(m) for k, m in pair.R.taps().items()}
     taps[0][1, 1] += 1e-6
     with pytest.raises(ValueError, match="closed formula"):
-        compute_S(fb, ann2, cross_check_R=MatLaurent.from_taps(3, taps))
+        _check_closed_form(fb, ann2.symbol, MatLaurent.from_taps(3, taps), pair.S)
 
 
 def test_scalar_haar_reduction():

@@ -15,8 +15,8 @@ EXPORTS = {
     "taylor_distance",
     # filterbank
     "CompressionReport", "FactorizationPair", "FilterBank", "analyze", "build", "build_at",
-    "check_biorthogonality", "check_vanishing_moments", "compress", "compute_R", "compute_S",
-    "factorization_pair", "synthesize",
+    "check_biorthogonality", "check_vanishing_moments", "compress", "factorization_pair",
+    "synthesize",
     # laurent
     "DivisionError", "MatLaurent", "even_part_dev", "max_coeff_dev",
     # signal

@@ -21,11 +21,15 @@ from hermwave.signal import (
     read_signal,
     sample_function,
     sine,
-    v_vector,
     write_signal,
 )
 
 from golden_data import norms
+
+
+def v_vector(f, level: int, k: int, dim: int) -> np.ndarray:
+    """The v-coordinate vector of ``f`` at level ``level``, node ``k``."""
+    return sample_function(f, level, k, 1, dim).data[0]
 
 
 # ----------------------------------------------------------------------
@@ -135,8 +139,9 @@ def test_scalar_samples_broadcast():
 
 
 def test_grid_positions():
-    sig = sample_function(monomial(0), 2, -4, 9)
-    assert sig.grid() == pytest.approx(np.arange(-4, 5) / 4.0)
+    # the value column of x is the node position 2^-level k
+    sig = sample_function(monomial(1), 2, -4, 9)
+    assert np.array_equal(sig.data[:, 0], np.arange(-4, 5) / 4.0)
 
 
 def test_norms():
@@ -222,7 +227,7 @@ def _row_by_row(sig):
     """The CSV body as written one row at a time: the format's reference."""
     return "".join(
         f"{k}," + ",".join(repr(float(x)) for x in row) + "\n"
-        for k, row in zip(sig.nodes(), sig.data)
+        for k, row in zip(range(sig.start, sig.start + len(sig)), sig.data)
     )
 
 
