@@ -134,7 +134,7 @@ def cmd_verify(args) -> int:
         if value is not None and not math.isfinite(value):
             raise ValueError(f"{flag} must be finite, got {value}")
     # the last level's sample windows are the largest: reject them before any level runs
-    subdivision._window(3.0, args.level, 2, f"verify --level {args.level}")
+    subdivision._sample_window(3.0, args.level, 2, f"verify --level {args.level}")
     spec = SpaceSpec(0, args.lam)
     levels = range(0, args.level + 1)
     checks = _verify_report(spec, levels, args.seed, args.perturb, args.tolerance)

@@ -44,7 +44,7 @@ from .subdivision import (
     _lift,
     _refine,
     _scaled,
-    _window,
+    _sample_window,
     interpolatory_residual,
     make_mask,
 )
@@ -178,7 +178,7 @@ def check_vanishing_moments(fb: FilterBank, f) -> float:
     non-periodic ``f``); for ``f`` in ``V_{0,L}`` the result vanishes.
     """
     n1 = fb.level + 1
-    m = _window(2.0, n1, 0, "check_vanishing_moments")
+    m = _sample_window(2.0, n1, 0, "check_vanishing_moments")
     v = sample_function(f, n1, -m, 2 * m + 1, dim=fb.dim).data
     taps = sorted(fb.B_tilde.taps().items())
     t0 = taps[0][0]

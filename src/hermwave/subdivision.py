@@ -255,7 +255,7 @@ def _taps(mask: LevelMask) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _transposed_taps(mask.symbol) if mask._scaled is None else mask._scaled.taps
 
 
-def _window(halfwidth: float, level: int, depth: int, what: str) -> int:
+def _sample_window(halfwidth: float, level: int, depth: int, what: str) -> int:
     """Node ``m >= 2`` of the window ``-m .. m`` over ``|x| <= halfwidth`` at ``level``.
 
     Its ``2m + 1`` rows, refined ``depth`` times, are ``2^depth (2m + 2) - 1``:
@@ -404,7 +404,7 @@ def check_spectral_condition(
             "exp(+)": exponential(lam),
             "exp(-)": exponential(-lam),
         }
-    m = _window(halfwidth, level, depth, "check_spectral_condition")
+    m = _sample_window(halfwidth, level, depth, "check_spectral_condition")
     steps = [_taps(make_mask(spec, level + step)) for step in range(depth)]
     # dependency cone: nodes within 2^depth - 1 of the window edge are
     # contaminated by the zero extension
@@ -434,7 +434,7 @@ def render_basic_limit(
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    _window(0.0, 0, depth, "render_basic_limit")  # the delta's rows -2 .. 2, refined
+    _sample_window(0.0, 0, depth, "render_basic_limit")  # the delta's rows -2 .. 2, refined
     steps = [_taps(make_mask(spec, base_level + step)) for step in range(depth)]
     tables = []
     for j in range(3):

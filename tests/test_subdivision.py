@@ -17,7 +17,7 @@ from hermwave.subdivision import (
     _lift,
     _refine,
     _scaled,
-    _window,
+    _sample_window,
     check_spectral_condition,
     closed_form_deviation,
     closed_form_phi,
@@ -181,14 +181,14 @@ def test_tiny_scaled_frequency_is_the_stationary_limit():
 @given(st.floats(0.0, 1.79e308), st.integers(0, 4))
 def test_any_finite_frequency_returns_or_raises_value_error(lam, level):
     # a float ** overflows with OverflowError past mu ~ 2.7e154; the named errors are ValueErrors
-    for build in (
+    for call in (
         lambda: make_mask(SpaceSpec(0, lam), level),
         lambda: build_at(SpaceSpec(0, lam), level),
         lambda: make_annihilator(SpaceSpec(0, lam), level),
         lambda: make_annihilator(SpaceSpec(1, lam), level),
     ):
         try:
-            build()
+            call()
         except ValueError:
             pass
 
@@ -198,18 +198,18 @@ def test_any_finite_frequency_returns_or_raises_value_error(lam, level):
 def test_sample_windows_stop_at_the_row_limit():
     spec = SpaceSpec(0, 2.0)
     # verify's spectral window, 24 2^n + 7 rows at level n: 19 is the last level within 2^24
-    assert _window(3.0, 19, 2, "x") == 3 * 2**19
+    assert _sample_window(3.0, 19, 2, "x") == 3 * 2**19
     with pytest.raises(ValueError, match=r"^check_spectral_condition needs 2.517e\+07 rows, more than MAX_ROWS = 2\^24$"):
         check_spectral_condition(spec, 20, 2)
-    # the moment window of bank level n, 2^(n+3) + 1 rows: 20 is the last level
-    assert _window(2.0, 21, 0, "x") == 2**22
+    # the moment window of bank level n, sampled at level n + 1, 2^(n+3) + 1 rows: 20 is the last level
+    assert _sample_window(2.0, 21, 0, "x") == 2**22
     with pytest.raises(ValueError, match=r"^check_vanishing_moments needs 1.678e\+07 rows"):
         check_vanishing_moments(build_at(spec, 21), monomial(0))
 
 
 def test_rendering_stops_at_the_row_limit():
     # 6 2^d - 1 rows at depth d: 21 is the last depth within 2^24
-    assert _window(0.0, 0, 21, "x") == 2
+    assert _sample_window(0.0, 0, 21, "x") == 2
     with pytest.raises(ValueError, match=r"^render_basic_limit needs 2.517e\+07 rows"):
         render_basic_limit(SpaceSpec(0, 2.0), 22)
 
